@@ -166,12 +166,12 @@ class InvariantChecker:
     def audit(self, now: int) -> None:
         """Run the checks at an executor-driven boundary.
 
-        Batched fleet execution absorbs per-flow capacity events from
-        the *global* span, so the engine no longer lands a component
-        boundary on every capacity change. The fleet executor instead
-        calls this at each flow's own sub-span boundaries — exactly the
-        points where that flow's capacities change — which preserves
-        the piecewise-constant assumption the cost integration below
+        The span executor absorbs per-flow capacity events from the
+        *global* span, so the engine does not land a component boundary
+        on every capacity change. The executor instead calls this at
+        each flow's own sub-span boundaries — exactly the points where
+        that flow's capacities change — which preserves the
+        piecewise-constant assumption the cost integration below
         relies on.
         """
         self._check(now)
@@ -261,9 +261,9 @@ class InvariantChecker:
 
     def _integrate_and_compare(self, now: int, interval: int) -> None:
         # Capacities are constant between checks (every capacity change
-        # lands on a check boundary: engine boundaries in sequential
-        # mode, plus the fleet executor's per-flow ``audit`` calls in
-        # batch mode), so end-of-interval values x length integrate
+        # lands on a check boundary: a tick in per-tick runs, the span
+        # executor's per-flow ``audit`` calls in span runs), so
+        # end-of-interval values x length integrate
         # exactly; all quantities are integer-valued floats, so the
         # comparison is exact, not approximate.
         capacities = {

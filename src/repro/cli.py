@@ -402,7 +402,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                     None if args.no_coordinator else args.coordinate_period
                 ),
                 exact=not args.fast,
-                batch_execution=not args.no_batch,
             )
             for i in range(args.sweep)
         ]
@@ -418,7 +417,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         coordinate_period=None if args.no_coordinator else args.coordinate_period,
         exact=not args.fast,
-        batch_execution=not args.no_batch,
     )
     result = fleet.run(args.duration)
     print(result.summary())
@@ -706,10 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(name-derived seeds) instead of one run")
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes for --sweep (byte-identical to jobs=1)")
-    fleet.add_argument("--no-batch", action="store_true",
-                       help="disable the fleet-batched span executor and run "
-                            "the N flow pipelines sequentially (bit-identical "
-                            "per flow, slower; for perf A/B and debugging)")
     fleet.add_argument("--no-coordinator", action="store_true",
                        help="disable arbitration; region admission alone "
                             "polices the limits")

@@ -134,7 +134,8 @@ class _Series:
     ``float64`` values) so whole spans of datapoints land in one
     :meth:`extend` — the columnar write path the span scheduler uses —
     while :meth:`append` keeps the scalar per-tick path. The
-    time-ordered invariant (enforced on both paths) is what makes
+    time-ordered invariant (checked by :meth:`append` and, for
+    batches, by :meth:`SimCloudWatch.put_metric_data_batch`) is what makes
     O(log n) window location sound: both ends of a right-closed window
     ``(start, end]`` are found by binary search, and the located slice
     is already in append order, so aggregating it left-to-right matches
@@ -194,46 +195,20 @@ class _Series:
         self._len = n + 1
         self.version += 1
 
-    def extend(self, times: Sequence[int], values: Sequence[float]) -> None:
-        """Append a whole time-ordered batch; one version bump.
+    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Append a whole batch; one version bump.
 
-        The columns are written straight into the reserved tail (one C
-        conversion, no intermediate arrays) and validated in place; a
-        rejected batch leaves ``_len`` untouched, so the garbage past
-        the end is invisible and overwritten by the next append.
+        The caller (:meth:`SimCloudWatch.flush_pending`) hands in
+        columns :meth:`SimCloudWatch.put_metric_data_batch` already
+        validated as flat, equal-length and time-ordered after this
+        series' tail, so they are written straight into the reserved
+        tail.
         """
         count = len(times)
-        if count != len(values):
-            raise MonitoringError(
-                f"batch times/values must be equal length, "
-                f"got {count} and {len(values)} datapoints"
-            )
-        if count == 0:
-            return
         n = self._len
         self._reserve(count)
-        ta = self._times
-        try:
-            ta[n : n + count] = times
-            self._values[n : n + count] = values
-        except (ValueError, TypeError) as exc:
-            raise MonitoringError(
-                f"batch times/values must be flat numeric columns: {exc}"
-            ) from None
-        seg = ta[n : n + count]
-        if count > 1:
-            disordered = seg[1:] < seg[:-1]
-            if disordered.any():
-                i = int(np.nonzero(disordered)[0][0])
-                raise MonitoringError(
-                    f"metric datapoints must be time-ordered: "
-                    f"got t={int(seg[i + 1])} after t={int(seg[i])}"
-                )
-        if n and seg[0] < ta[n - 1]:
-            raise MonitoringError(
-                f"metric datapoints must be time-ordered: "
-                f"got t={int(seg[0])} after t={int(ta[n - 1])}"
-            )
+        self._times[n : n + count] = times
+        self._values[n : n + count] = values
         self._len = n + count
         self.version += 1
 
@@ -264,13 +239,13 @@ class SimCloudWatch:
         # so the memo holds at most one control period's worth of
         # distinct read shapes per series.
         self._read_memo: dict[tuple, list] = {}
-        #: Opt-in deferred batch writes (fleet span batching). When
-        #: set, :meth:`put_metric_data_batch` buffers the columns and
-        #: every read path flushes them first, so readers always see
-        #: exactly the series an eager store would hold. Off by
-        #: default: single-flow and per-tick runs are unaffected.
-        self.lazy_batches = False
+        #: Deferred batch writes: :meth:`put_metric_data_batch` buffers
+        #: validated columns per series and every read path flushes
+        #: them first, so readers always see exactly the series an
+        #: eager store would hold.
         self._pending: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._times_source: object = None
+        self._times_checked: np.ndarray | None = None
         # Monitoring-layer fault injection (chaos harness). A metric
         # delay makes sensors query a window ending ``delay`` seconds in
         # the past; a dropout makes sensor reads return no data at all.
@@ -307,24 +282,72 @@ class SimCloudWatch:
         """Record a whole time-ordered batch of datapoints in one call.
 
         This is the columnar write path for span execution: a span's
-        worth of per-tick measurements lands as one array append, with
-        one series-version bump, instead of one ``put_metric_data`` per
-        tick. Batch order is append order — identical to issuing the
+        worth of per-tick measurements is validated here (so a bad
+        batch fails at the call that made it) and buffered until the
+        series is next read, when all its buffered batches land as one
+        append. Batch order is append order — identical to issuing the
         scalar puts one at a time — so reads and memo semantics are
-        unchanged.
+        unchanged. The store keeps the columns it is handed: callers
+        must not mutate them afterwards.
         """
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self.lazy_batches:
-            # Touching the defaultdict creates the (empty) series
-            # eagerly, so existence checks and list_metrics behave as
-            # if the batch had landed; the columns land on first read.
-            self._series[key]
-            self._pending.setdefault(key, []).append((
-                np.asarray(times, dtype=np.int64),
-                np.asarray(values, dtype=np.float64),
-            ))
+        count = len(times)
+        if count != len(values):
+            raise MonitoringError(
+                f"batch times/values must be equal length, "
+                f"got {count} and {len(values)} datapoints"
+            )
+        try:
+            times = self._times_column(times)
+            values = np.asarray(values, dtype=np.float64)
+            if values.ndim != 1:
+                raise ValueError(f"values have shape {values.shape}")
+        except (ValueError, TypeError) as exc:
+            raise MonitoringError(
+                f"batch times/values must be flat numeric columns: {exc}"
+            ) from None
+        # Touching the defaultdict creates the (empty) series eagerly,
+        # so existence checks and list_metrics behave as if the batch
+        # had landed.
+        series = self._series[key]
+        if count == 0:
             return
-        self._series[key].extend(times, values)
+        parts = self._pending.get(key)
+        tail = parts[-1][0][-1] if parts else series.times[-1] if len(series) else None
+        if tail is not None and times[0] < tail:
+            raise MonitoringError(
+                f"metric datapoints must be time-ordered: "
+                f"got t={int(times[0])} after t={int(tail)}"
+            )
+        if parts is None:
+            self._pending[key] = [(times, values)]
+        else:
+            parts.append((times, values))
+
+    def _times_column(self, times: Sequence[int]) -> np.ndarray:
+        """``times`` as a flat, time-ordered ``int64`` column.
+
+        A service writes every series of one span over the same times
+        column, so the last column checked is memoized by identity and
+        the conversion and ordering check run once per emission, not
+        once per series.
+        """
+        if times is self._times_source:
+            return self._times_checked
+        column = np.asarray(times, dtype=np.int64)
+        if column.ndim != 1:
+            raise ValueError(f"times have shape {column.shape}")
+        if len(column) > 1:
+            disordered = column[1:] < column[:-1]
+            if disordered.any():
+                i = int(np.nonzero(disordered)[0][0])
+                raise MonitoringError(
+                    f"metric datapoints must be time-ordered: "
+                    f"got t={int(column[i + 1])} after t={int(column[i])}"
+                )
+        self._times_source = times
+        self._times_checked = column
+        return column
 
     def flush_pending(self, key: tuple | None = None) -> None:
         """Land deferred batch writes (no-op when nothing is pending).
@@ -335,9 +358,8 @@ class SimCloudWatch:
         accumulating parts and land as one extend when the run drains.
 
         Batches flush per series in put order, concatenated into one
-        :meth:`_Series.extend`, so the stored columns — and the version
-        counter the read memos key on — match an eager store that had
-        extended once per span.
+        :meth:`_Series.extend`, so the stored columns match issuing
+        every datapoint as a scalar put.
         """
         if not self._pending:
             return

@@ -1,11 +1,11 @@
-"""Fleet-batched span execution: N flows as one engine component.
+"""The span executor: every flow's data path as one engine component.
 
-Sequential fleet execution registers N ``_FlowPipeline`` components,
-so every flow's capacity event bounds the *shared* span: a 16-flow
-fleet fragments all sixteen recurrences at every single flow's boot,
-reshard and capacity-update tick, and the engine pays N component
-dispatches per boundary on top. This module collapses the N pipelines
-into one :class:`FleetSpanExecutor` that
+Every span-mode run goes through one :class:`FleetSpanExecutor`: a
+region fleet registers one over its N flows' pipelines, and a
+standalone flow is a fleet of one. The engine's ``span_execution``
+alone chooses between the per-tick loop — where the executor delegates
+to each ``_FlowPipeline.on_tick``, the oracle every span run must match
+bit for bit — and spans. In a span run the executor
 
 * absorbs per-flow capacity events internally — its ``span_horizon``
   accepts the whole global span (task firings, chaos faults and the
@@ -20,7 +20,8 @@ into one :class:`FleetSpanExecutor` that
   else falls back, sub-span by sub-span, to the bit-exact scalar
   reference in ``_FlowPipeline.run_span``.
 
-The equivalence argument (the *fleet execution contract*, DESIGN.md):
+The equivalence argument (the *span* and *fleet execution contracts*,
+DESIGN.md):
 
 * splitting a flow's span at another flow's boundary never changes its
   results — the recurrence coefficients are identical on both halves,
@@ -35,22 +36,25 @@ The equivalence argument (the *fleet execution contract*, DESIGN.md):
   (spec) order, so cross-flow batching never reorders any stream's
   draws.
 
-Metrics land through the cloudwatch store's lazy batch path (flushed
-on first read, so controllers and snapshots observe exactly what an
-eager store would hold), and the workload draws always happen *before*
-the viability decision — a fallback sub-span hands the drawn columns
-to the scalar reference via ``_precomputed``, consuming every RNG
-stream identically on both paths.
+Metrics land through the cloudwatch store's deferred batch path
+(flushed on first read, so controllers and snapshots observe exactly
+what per-tick puts would have stored), and the workload draws always
+happen *before* the viability decision — a fallback sub-span hands the
+drawn columns to the scalar reference, consuming every RNG stream
+identically on both paths.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.manager import _FlowPipeline
 from repro.workload.generators import RateGrid
+
+if TYPE_CHECKING:
+    from repro.core.manager import _FlowPipeline
 
 #: Products (payload x records) must stay below this for the buffer
 #: byte split ``int(bytes * handed / records)`` to be float64-exact.
@@ -77,29 +81,28 @@ class FleetSpanExecutor:
     """One span component executing every flow's data path in batch.
 
     ``flows`` is the ordered list of ``(flow_name, _FlowPipeline)``
-    pairs exactly as the sequential engine would have registered the
-    pipelines; the executor preserves that order, so per-flow results
-    are bit-identical to sequential execution (each flow's RNG streams,
-    cloudwatch store and event bus are private to the flow).
+    pairs; the executor runs them in that order on both paths, so
+    per-flow results are bit-identical to the per-tick loop (each
+    flow's RNG streams, cloudwatch store and event bus are private to
+    the flow). ``flow_name`` also labels the flow's profiler time.
     """
 
     def __init__(
         self,
         flows: list[tuple[str, _FlowPipeline]],
-        engine=None,
-        checkers=None,
+        engine,
+        checkers: dict | None = None,
     ) -> None:
         self._flows = list(flows)
         self._engine = engine
-        # Per-flow invariant checkers: their cost integration assumes
-        # every capacity change lands on a check boundary, and batching
-        # moved those changes off the global span — so the executor
-        # audits each flow at its own sub-span boundaries instead.
-        self._checkers = dict(checkers or {})
-        for _, pipeline in self._flows:
-            # Span emissions buffer in the store until a sensor /
-            # snapshot / result read flushes them (see SimCloudWatch).
-            pipeline.cloudwatch.lazy_batches = True
+        # Per-flow invariant checkers (``None`` entries skipped): their
+        # cost integration assumes every capacity change lands on a
+        # check boundary, and the executor moves those changes off the
+        # global span — so it audits each flow at its own sub-span
+        # boundaries instead.
+        self._checkers = {
+            name: checker for name, checker in (checkers or {}).items() if checker is not None
+        }
         # Same-class, same-distinct-law generators pool their
         # expected-distinct memos: the fill values are pure functions
         # of the record count, so whichever flow computes one first
@@ -144,7 +147,7 @@ class FleetSpanExecutor:
         return limit
 
     def run_span(self, clock, span_end: int) -> None:
-        profiler = self._engine.profiler if self._engine is not None else None
+        profiler = self._engine.profiler
         now = clock.now
         dt = clock.tick_seconds
         for name, pipeline in self._flows:
@@ -236,7 +239,7 @@ class FleetSpanExecutor:
             shim.now = t
             p.run_span(
                 shim, t + step * dt,
-                _precomputed=(
+                (
                     records_all[offset : offset + step],
                     payload_all[offset : offset + step],
                     distinct_all[offset : offset + step],

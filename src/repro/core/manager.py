@@ -38,6 +38,7 @@ from repro.control.bounded import BoundedActuator
 from repro.control.sensors import CloudWatchSensor
 from repro.core.config import LayerControlConfig
 from repro.core.errors import ConfigurationError
+from repro.core.fleet_exec import FleetSpanExecutor
 from repro.core.flow import FlowSpec, LayerKind, clickstream_flow_spec
 from repro.monitoring.collector import MetricCollector
 from repro.monitoring.dashboard import Dashboard
@@ -91,7 +92,11 @@ class ServiceCapacities:
 
 
 class _FlowPipeline:
-    """The per-tick data path: generator → Kinesis → Storm → DynamoDB."""
+    """The per-tick data path: generator → Kinesis → Storm → DynamoDB.
+
+    Driven by a :class:`~repro.core.fleet_exec.FleetSpanExecutor`, never
+    registered on the engine itself; :meth:`on_tick` is the oracle.
+    """
 
     #: Bound on producer/write retry backlogs; beyond it data is dropped
     #: (a real producer's buffer is finite too) and counted.
@@ -200,7 +205,7 @@ class _FlowPipeline:
     # Span execution (see DESIGN.md "Span execution contract")
     # ------------------------------------------------------------------
     def span_horizon(self, now: int, limit: int, tick_seconds: int) -> int:
-        """Latest span end the data path can accept, at most ``limit``.
+        """Latest sub-span end the data path can accept, at most ``limit``.
 
         Two kinds of internal events bound a span (aggregation-window
         flushes do *not*: :meth:`run_span` draws its CPU-noise normals
@@ -236,22 +241,22 @@ class _FlowPipeline:
                 horizon = bound
         return horizon
 
-    def run_span(self, clock: SimClock, span_end: int, _precomputed=None) -> None:
+    def run_span(self, clock: SimClock, span_end: int, columns) -> None:
         """Execute the ticks ``(clock.now, span_end]`` as one batch.
 
-        Bit-identical to calling :meth:`on_tick` once per tick: the
-        capacity coefficients are constant across the span (that is what
-        :meth:`span_horizon` guarantees), so every capacity lookup, dict
-        build and method dispatch is hoisted out of the loop, RNG draws
-        are batched per stream in bitstream order, the backlog/throttle
-        recurrence runs over plain locals, and the per-tick metric
-        values land as columnar batch appends at the end of the span.
+        The executor's scalar fallback, bit-identical to calling
+        :meth:`on_tick` once per tick: the capacity coefficients are
+        constant across the span (that is what :meth:`span_horizon`
+        guarantees), so every capacity lookup, dict build and method
+        dispatch is hoisted out of the loop, RNG draws are batched per
+        stream in bitstream order, the backlog/throttle recurrence runs
+        over plain locals, and the per-tick metric values land as
+        columnar batch appends at the end of the span.
 
-        ``_precomputed`` lets the fleet executor hand in workload
-        columns it already drew (its batched path draws before deciding
-        whether the sub-span needs this scalar reference); the columns
-        are exactly what ``generate_span`` would have returned, so the
-        generator's RNG stream is consumed identically either way.
+        ``columns`` are the ``(records, payload, distinct)`` workload
+        columns the executor drew for these ticks, exactly what
+        ``generate_span`` returns (the generator touches no service
+        state, so its draws can lead the span as in the per-tick loop).
         """
         dt = clock.tick_seconds
         now = clock.now
@@ -260,15 +265,7 @@ class _FlowPipeline:
         stream = self.stream
         cluster = self.cluster
         table = self.table
-
-        # Workload draws first, as in the per-tick loop (the generator
-        # touches no service state, so its batch can lead the span).
-        if _precomputed is None:
-            records_col, payload_col, distinct_col = self.generator.generate_span(
-                first_tick, count, dt
-            )
-        else:
-            records_col, payload_col, distinct_col = _precomputed
+        records_col, payload_col, distinct_col = columns
 
         # Capacity hoist, in the per-tick loop's call order so pending
         # changes ripe at the first tick apply — and publish their bus
@@ -802,8 +799,9 @@ class FlowElasticityManager:
 
         if engine is not None:
             # Shared engine (multi-flow region run): the caller owns the
-            # clock, span mode and run loop; this manager only registers
-            # its components and tasks on it.
+            # clock, span mode, run loop and the span executor over every
+            # flow's pipeline; this manager registers only its auditor,
+            # injector and tasks on it.
             self.engine = engine
             self._owns_engine = False
         else:
@@ -823,7 +821,6 @@ class FlowElasticityManager:
             read_workload=read_workload,
             read_rng=derive_rng(seed, "dashboard.reads"),
         )
-        self.engine.add_component(self._pipeline)
 
         self.read_loop: ControlLoop | None = None
         if read_control is not None:
@@ -874,11 +871,11 @@ class FlowElasticityManager:
         # wrapper adds the telemetry gauge sample at the same boundary.
         self.engine.every(snapshot_period, self._snapshot, name=f"{prefix}snapshots")
 
-        # Component order matters: pipeline → invariant checker → chaos
-        # injector. The checker audits each boundary's *pre-injection*
-        # state (so its cost integration sees the same capacities the
-        # pipeline accrued), and faults applied at tick T take effect
-        # from T+1 in both per-tick and span execution.
+        # Component order matters: span executor → invariant checker →
+        # chaos injector. The checker audits each boundary's
+        # *pre-injection* state (so its cost integration sees the same
+        # capacities the pipeline accrued), and faults applied at tick T
+        # take effect from T+1 in both per-tick and span execution.
         self.invariant_checker: InvariantChecker | None = None
         if invariants:
             self.invariant_checker = InvariantChecker(
@@ -895,6 +892,13 @@ class FlowElasticityManager:
                 check_controller_bounds=self.share_schedule is None and not coordinated,
                 bus=recorder.bus if recorder is not None else None,
             )
+        if self._owns_engine:
+            # A standalone flow is a fleet of one.
+            name = flow_id or self.flow.name
+            self.engine.add_component(FleetSpanExecutor(
+                [(name, self._pipeline)], self.engine, {name: self.invariant_checker}
+            ))
+        if self.invariant_checker is not None:
             self.engine.add_component(self.invariant_checker)
         self.chaos_injector: ChaosInjector | None = None
         if chaos:
@@ -1080,6 +1084,7 @@ class FlowElasticityManager:
         Split out of :meth:`run` so a region fleet manager can run the
         *shared* engine once and then collect each flow's result.
         """
+        self.cloudwatch.flush_pending()
         return FlowRunResult(
             duration_seconds=self.engine.clock.now,
             flow=self.flow,

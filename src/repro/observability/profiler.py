@@ -43,9 +43,9 @@ class TickProfiler:
         self.component_calls: dict[str, int] = {}
         self.task_seconds: dict[str, float] = {}
         self.task_calls: dict[str, int] = {}
-        #: Per-flow attribution in fleet runs: which flow's spans
-        #: consume the batched executor's time. Empty outside fleet
-        #: batching (the single-flow pipeline is already one component).
+        #: Per-flow attribution of the span executor's time (a
+        #: standalone flow records under its flow name). Empty on a
+        #: pure per-tick run.
         self.flow_seconds: dict[str, float] = {}
         self.flow_calls: dict[str, int] = {}
         self.tick_count = 0

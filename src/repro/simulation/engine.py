@@ -144,16 +144,6 @@ class SimulationEngine:
         self._components.append(component)
         self._labels_cache = None
 
-    def replace_components(self, components: list[TickComponent]) -> None:
-        """Swap the registered component list wholesale.
-
-        Used by fleet batching to substitute one executor for the
-        per-flow pipeline components it absorbs; ordering guarantees
-        are the caller's responsibility (see :meth:`sort_components`).
-        """
-        self._components = list(components)
-        self._labels_cache = None
-
     def _component_labels(self) -> dict[int, str]:
         """Profiler display labels, cached across :meth:`run` calls."""
         if self._labels_cache is None:

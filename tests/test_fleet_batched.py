@@ -1,14 +1,14 @@
-"""Batched-vs-sequential fleet execution bit-equivalence.
+"""Batched-vs-per-tick fleet execution bit-equivalence.
 
-The fleet execution contract (DESIGN.md): with ``batch_execution=True``
-a :class:`RegionFleetManager` runs every flow through one
-:class:`~repro.core.fleet_exec.FleetSpanExecutor` component, and every
-flow's metrics, costs and events must be **bit-identical** to the
-sequential per-pipeline execution — under chaos faults, region
-denials, coordination, on both the exact and fast workload paths, and
-against the per-tick reference loop. Equality is asserted on reprs
-(metric values), exact cost-meter internals, and per-flow event lists,
-so a single ULP drift anywhere fails loudly.
+The fleet execution contract (DESIGN.md): a :class:`RegionFleetManager`
+runs every flow through one
+:class:`~repro.core.fleet_exec.FleetSpanExecutor` component, and in a
+span run every flow's metrics, costs and events must be
+**bit-identical** to the per-tick reference loop (the oracle) — under
+chaos faults, region denials, coordination, and on both the exact and
+fast workload paths. Equality is asserted on reprs (metric values),
+exact cost-meter internals, and per-flow event lists, so a single ULP
+drift anywhere fails loudly.
 
 Also here: the :class:`RegionContext` capacity-sum memoization
 regression tests (satellite of the same PR) — the memo must invalidate
@@ -23,6 +23,7 @@ from repro.cloud.region import RegionContext, RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
 from repro.core.fleet import FleetFlowSpec, RegionFleetManager
+from repro.core.fleet_exec import FleetSpanExecutor
 from repro.core.flow import LayerKind
 from repro.workload.generators import SinusoidalRate
 
@@ -42,7 +43,6 @@ def _build(
     n,
     *,
     exact,
-    batch,
     span=True,
     coordinate=300,
     chaos=None,
@@ -99,7 +99,6 @@ def _build(
         limits=limits,
         seed=seed,
         exact=exact,
-        batch_execution=batch,
         span_execution=span,
         coordinate_period=coordinate,
     )
@@ -110,7 +109,6 @@ def _flow_digests(fleet, result):
     digests = {}
     for name, flow_result in result.flows.items():
         store = fleet.managers[name].cloudwatch
-        store.flush_pending()
         series = {}
         for key in sorted(store._series):
             s = store._series[key]
@@ -146,16 +144,16 @@ def _flow_digests(fleet, result):
 
 
 def _assert_equivalent(n, *, exact, coordinate=300, chaos=None, tight=False):
-    batched = _build(
-        n, exact=exact, batch=True, coordinate=coordinate, chaos=chaos, tight=tight
-    )
+    batched = _build(n, exact=exact, coordinate=coordinate, chaos=chaos, tight=tight)
     result_b = batched.run(DURATION)
-    sequential = _build(
-        n, exact=exact, batch=False, coordinate=coordinate, chaos=chaos, tight=tight
+    per_tick = _build(
+        n, exact=exact, span=False, coordinate=coordinate, chaos=chaos, tight=tight
     )
-    result_s = sequential.run(DURATION)
+    result_t = per_tick.run(DURATION)
+    assert batched.engine.last_run_used_spans
+    assert not per_tick.engine.last_run_used_spans
 
-    da, db = _flow_digests(batched, result_b), _flow_digests(sequential, result_s)
+    da, db = _flow_digests(batched, result_b), _flow_digests(per_tick, result_t)
     assert sorted(da) == sorted(db)
     for name in da:
         a, b = da[name], db[name]
@@ -167,8 +165,8 @@ def _assert_equivalent(n, *, exact, coordinate=300, chaos=None, tight=False):
         assert a["violations"] == b["violations"], name
         assert a["dropped_records"] == b["dropped_records"], name
         assert a["dropped_writes"] == b["dropped_writes"], name
-    assert dict(batched.region.denial_counts) == dict(sequential.region.denial_counts)
-    return batched, sequential
+    assert dict(batched.region.denial_counts) == dict(per_tick.region.denial_counts)
+    return batched, per_tick
 
 
 class TestBatchedEquivalence:
@@ -208,24 +206,15 @@ class TestBatchedEquivalence:
         chaos = ChaosSchedule(faults=(spec,), seed=11)
         _assert_equivalent(2, exact=False, chaos=chaos)
 
-    def test_span_sequential_matches_per_tick(self):
-        """Closes the chain: batched == seq-span == per-tick reference."""
-        span = _build(2, exact=False, batch=False, span=True)
-        result_span = span.run(DURATION)
-        tick = _build(2, exact=False, batch=False, span=False)
-        result_tick = tick.run(DURATION)
-        ds, dt = _flow_digests(span, result_span), _flow_digests(tick, result_tick)
-        for name in ds:
-            assert ds[name]["series"] == dt[name]["series"], name
-            assert ds[name]["costs"] == dt[name]["costs"], name
-            assert ds[name]["events"] == dt[name]["events"], name
-
     def test_batched_is_the_default(self):
-        fleet = _build(2, exact=False, batch=True)
-        assert fleet.batch_execution is True
-        # Per-tick mode cannot batch: the flag degrades, it never lies.
-        tick = _build(2, exact=False, batch=True, span=False)
-        assert tick.batch_execution is False
+        fleet = _build(2, exact=False)
+        executors = [
+            c for c in fleet.engine._components if isinstance(c, FleetSpanExecutor)
+        ]
+        # One executor over every flow, ordered ahead of the auditors.
+        assert len(executors) == 1
+        assert fleet.engine._components[0] is executors[0]
+        assert [name for name, _ in executors[0]._flows] == list(fleet.managers)
 
 
 class _StubFleet:
@@ -264,7 +253,7 @@ class TestRegionSumMemo:
     def test_real_scale_up_is_visible_immediately(self):
         """End to end: an admitted scale-up must not be served stale —
         a second flow asking right after must see the new commitment."""
-        fleet = _build(2, exact=False, batch=True)
+        fleet = _build(2, exact=False)
         region = fleet.region
         manager = next(iter(fleet.managers.values()))
         ec2 = manager.cluster.fleet

@@ -343,7 +343,10 @@ class TestManagerIntegration:
         result, recorder = self._run(profile=True)
         assert recorder.profiler is not None
         assert recorder.profiler.tick_count == result.duration_seconds
-        assert "_FlowPipeline" in recorder.profiler.component_seconds
+        assert "FleetSpanExecutor" in recorder.profiler.component_seconds
+        # A standalone flow is a fleet of one: its executor time is
+        # attributed to the flow by name.
+        assert list(recorder.profiler.flow_seconds) == [result.flow.name]
         assert recorder.profiler.instrumented_seconds <= recorder.profiler.tick_seconds_total
 
     def test_unobserved_flow_has_no_recorder(self):

@@ -23,6 +23,7 @@ import pytest
 
 from repro.chaos import ChaosSchedule, FaultKind, FaultSpec
 from repro.cloud.storm import BoltSpec, TopologyConfig
+from repro.core import fleet_exec
 from repro.core.builder import FlowBuilder
 from repro.core.flow import LayerKind
 from repro.core.manager import _FlowPipeline
@@ -411,3 +412,51 @@ class TestFleetEquivalence:
         )
         for flow_id in reference.flows:
             assert_equivalent(reference.flows[flow_id], spanned.flows[flow_id])
+
+
+class TestExecutorScalarFallback:
+    """The executor's float64-exactness guard on ``payload * records``.
+
+    Above ``_EXACT_PRODUCT_LIMIT`` the closed-form buffer byte split
+    would round, so the executor must hand those ticks to the scalar
+    reference. Real runs never get near 2**53; lowering the limit into
+    the workload's range makes a quiet, well-provisioned flow (which
+    otherwise never leaves the vector path) cross it mid-span.
+    """
+
+    @staticmethod
+    def _build():
+        return (
+            FlowBuilder("span-eq-limit", seed=3)
+            .ingestion(shards=4)
+            .analytics(vms=4)
+            .storage(write_units=1000)
+            .workload(SinusoidalRate(mean=1200, amplitude=600, period=600))
+        )
+
+    @staticmethod
+    def _count_scalar_calls(monkeypatch):
+        calls = []
+        original = _FlowPipeline.run_span
+
+        def counting(self, clock, span_end, columns):
+            calls.append((clock.now, span_end))
+            return original(self, clock, span_end, columns)
+
+        monkeypatch.setattr(_FlowPipeline, "run_span", counting)
+        return calls
+
+    def test_quiet_flow_stays_on_the_vector_path(self, monkeypatch):
+        calls = self._count_scalar_calls(monkeypatch)
+        self._build().build().run(900)
+        assert calls == []
+
+    def test_product_limit_falls_back_to_scalar(self, monkeypatch):
+        # Per-tick payload x records spans ~1e8..1.3e9 for this workload.
+        monkeypatch.setattr(fleet_exec, "_EXACT_PRODUCT_LIMIT", 700_000_000)
+        calls = self._count_scalar_calls(monkeypatch)
+        reference, spanned = run_pair(self._build, 900)
+        assert calls, "the lowered limit never sent a tick to the scalar path"
+        # Crossings land inside spans, not only on their first tick.
+        assert any(now % 60 for now, _ in calls)
+        assert_equivalent(reference, spanned)
