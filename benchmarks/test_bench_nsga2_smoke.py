@@ -6,7 +6,9 @@ runs the same constrained Eq. 3-5 problem at population 40 x 40
 generations, small enough for every CI push, and checks the two
 properties a perf regression would break first:
 
-- the vectorized path still beats the scalar reference path, and
+- the shipped matrix path still beats the loop-based scalar reference
+  (``tests/nsga2_reference.py``, swapped into the analyzer by
+  monkeypatching), and
 - both paths produce bit-identical Pareto fronts from the same seed
   (the determinism contract in DESIGN.md).
 """
@@ -15,9 +17,10 @@ import json
 import time
 
 from repro.core.flow import clickstream_flow_spec
-from repro.optimization import ResourceShareAnalyzer
+from repro.optimization import ResourceShareAnalyzer, share_analyzer
 
 from benchmarks.test_bench_fig4_pareto import BUDGET_PER_HOUR, paper_constraints
+from tests.nsga2_reference import ScalarNSGA2
 
 POPULATION = 40
 GENERATIONS = 40
@@ -28,7 +31,7 @@ def _analyzer():
     return ResourceShareAnalyzer(clickstream_flow_spec(), constraints=paper_constraints())
 
 
-def _solve(vectorized):
+def _solve():
     analyzer = _analyzer()
     start = time.perf_counter()
     result = analyzer.analyze(
@@ -36,14 +39,14 @@ def _solve(vectorized):
         population_size=POPULATION,
         generations=GENERATIONS,
         seed=SEED,
-        vectorized=vectorized,
     )
     return result, time.perf_counter() - start
 
 
-def test_nsga2_smoke(results_dir):
-    vec_result, vec_seconds = _solve(vectorized=True)
-    ref_result, ref_seconds = _solve(vectorized=False)
+def test_nsga2_smoke(results_dir, monkeypatch):
+    vec_result, vec_seconds = _solve()
+    monkeypatch.setattr(share_analyzer, "NSGA2", ScalarNSGA2)
+    ref_result, ref_seconds = _solve()
 
     # Same seed => identical fronts, identical pick, identical budget use.
     assert [s.shares for s in vec_result.solutions] == [s.shares for s in ref_result.solutions]

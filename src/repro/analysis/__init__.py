@@ -1,11 +1,12 @@
-"""Evaluation metrics, cost accounting and report rendering.
+"""Evaluation metrics, run summaries, scorecards and report rendering.
 
 These are the yardsticks of the benchmark suite: SLO violation rates,
 settling time and overshoot for controller comparisons (E4, E7), and
-capacity-cost integration for the cost-saving experiment (E5).
+resource-unit hours. Cost comes from the simulator's own billing
+(``ManagerResult.total_cost``), which the cost-saving experiment (E5)
+compares against a static-peak run.
 """
 
-from repro.analysis.cost import CostSummary, capacity_trace_cost, savings_vs_peak, static_peak_cost
 from repro.analysis.metrics import (
     integral_absolute_error,
     overshoot,
@@ -36,10 +37,6 @@ __all__ = [
     "overshoot",
     "integral_absolute_error",
     "resource_unit_hours",
-    "capacity_trace_cost",
-    "static_peak_cost",
-    "savings_vs_peak",
-    "CostSummary",
     "ComparisonReport",
     "Scenario",
     "RunnerError",

@@ -570,50 +570,49 @@ def run_fleet_smoke(
     from repro.cloud.region import RegionLimits
     from repro.cloud.storm import StormConfig
     from repro.core.config import LayerControlConfig, default_adaptive_controller
-    from repro.core.fleet import FleetFlowSpec, RegionFleetManager
-    from repro.core.flow import LayerKind
+    from repro.core.fleet import FleetFlowSpec, FleetScenarioSpec, run_fleet_scenario
     from repro.workload.generators import SinusoidalRate
 
-    def controls() -> dict[LayerKind, LayerControlConfig]:
-        return {
-            kind: LayerControlConfig(
-                controller=default_adaptive_controller(kind), period=60
+    spec = FleetScenarioSpec(
+        name="fleet",
+        flows=tuple(
+            FleetFlowSpec(
+                name=f"flow{i}",
+                workload=SinusoidalRate(
+                    mean=1800.0 + 400.0 * i,
+                    amplitude=1400.0,
+                    period=duration,
+                    phase=duration // 4,
+                ),
+                controls={
+                    kind: LayerControlConfig(
+                        controller=default_adaptive_controller(kind), period=60
+                    )
+                    for kind in LayerKind
+                },
+                # Overcommitted intent: each flow starts believing it may
+                # take most of the account; admission denials surface until
+                # the coordinator's first pass reins the bounds in.
+                share_bounds={
+                    LayerKind.INGESTION: 8,
+                    LayerKind.ANALYTICS: 8,
+                    LayerKind.STORAGE: 1200,
+                },
+                storm=StormConfig(records_per_vm_per_second=800),
             )
-            for kind in LayerKind
-        }
-
-    flows = [
-        FleetFlowSpec(
-            name=f"flow{i}",
-            workload=SinusoidalRate(
-                mean=1800.0 + 400.0 * i,
-                amplitude=1400.0,
-                period=duration,
-                phase=duration // 4,
-            ),
-            controls=controls(),
-            # Overcommitted intent: each flow starts believing it may
-            # take most of the account; admission denials surface until
-            # the coordinator's first pass reins the bounds in.
-            share_bounds={
-                LayerKind.INGESTION: 8,
-                LayerKind.ANALYTICS: 8,
-                LayerKind.STORAGE: 1200,
-            },
-            storm=StormConfig(records_per_vm_per_second=800),
-        )
-        for i in range(3)
-    ]
-    limits = RegionLimits(
-        max_instances=10,
-        max_total_shards=12,
-        max_total_write_units=2400,
-        contention_threshold=0.7,
-        contention_slope=0.3,
+            for i in range(3)
+        ),
+        limits=RegionLimits(
+            max_instances=10,
+            max_total_shards=12,
+            max_total_write_units=2400,
+            contention_threshold=0.7,
+            contention_slope=0.3,
+        ),
+        duration=duration,
+        coordinate_period=300,
     )
-    fleet = RegionFleetManager(flows, limits=limits, seed=seed, coordinate_period=300)
-    result = fleet.run(duration)
-    return FleetScorecard.from_fleet_result("fleet", result, seed=seed)
+    return run_fleet_scenario(spec, seed)
 
 
 def run_smoke_scenario(
@@ -627,13 +626,11 @@ def run_smoke_scenario(
     ``fleet`` is a 3-flow region run under shared account limits, and
     returns a :class:`FleetScorecard`.
     """
-    # Imported here, not at module top: repro.core.builder imports the
-    # manager, which imports analysis consumers — a cycle at import
-    # time but not at call time.
-    from repro.cloud.dynamodb import DynamoDBConfig
-    from repro.cloud.storm import StormConfig
-    from repro.core.builder import FlowBuilder
-    from repro.workload.generators import SinusoidalRate
+    # Imported here, not at module top: repro.scenarios.spec compiles
+    # through repro.core.builder, which imports the manager, which
+    # imports analysis consumers — a cycle at import time but not at
+    # call time.
+    from repro.scenarios.spec import PatternSpec, Scenario
 
     if name not in SMOKE_SCENARIOS:
         raise ConfigurationError(
@@ -643,28 +640,17 @@ def run_smoke_scenario(
         return run_fleet_smoke(seed=seed, duration=duration)
     # ``phase=duration // 4`` puts the sinusoid's trough at t=0 and its
     # peak mid-run (t=duration/2), so the flow ramps up gently and the
-    # chaos faults land on the loaded system, not an idle one.
-    workload = SinusoidalRate(
-        mean=1500.0, amplitude=1200.0, period=duration, phase=duration // 4
+    # chaos faults land on the loaded system, not an idle one. The
+    # scenario compiler's service calibration (load-bound analytics VMs,
+    # a 10-second DynamoDB burst bucket) makes each fault observable.
+    scenario = Scenario(
+        name=name,
+        workload=PatternSpec("sinusoid", {
+            "mean": 1500.0, "amplitude": 1200.0, "period": duration, "phase": duration // 4,
+        }),
+        duration=duration,
+        seed=seed,
+        chaos=_smoke_chaos(duration, seed) if name == "chaos" else None,
     )
-    # 1000 records/s per VM makes the analytics fleet genuinely
-    # load-bound (2-5 VMs over the day) instead of idling at the floor;
-    # a 10-second burst bucket (vs the 5-minute default) keeps the
-    # table honest under the throttle storm — the default bucket
-    # absorbs the whole deficit until the controller reacts, so the
-    # fault would never surface a ``throttle`` alarm for its chain.
-    analytics_config = StormConfig(records_per_vm_per_second=1000)
-    storage_config = DynamoDBConfig(burst_seconds=10)
-    builder = (
-        FlowBuilder(f"scorecard-{name}", seed=seed)
-        .ingestion(shards=2)
-        .analytics(vms=2, storm=analytics_config)
-        .storage(write_units=300, config=storage_config)
-        .workload(workload)
-        .control_all(style="adaptive", reference=60.0, period=60)
-        .observe()
-    )
-    if name == "chaos":
-        builder.chaos(_smoke_chaos(duration, seed))
-    result = builder.build().run(duration)
+    result = scenario.build_manager().run(duration)
     return RunScorecard.from_result(name, result, seed=seed)

@@ -9,12 +9,6 @@ casts Eq. 3–5 (maximize per-layer resource shares under a budget and
 the learned dependency constraints) as an NSGA-II problem.
 """
 
-from repro.optimization.fleet_shares import (
-    FleetShare,
-    FleetShareAnalysisResult,
-    FleetShareAnalyzer,
-    FlowShareSpec,
-)
 from repro.optimization.nsga2 import NSGA2, NSGA2Config, NSGA2Result
 from repro.optimization.pareto import dominates, hypervolume, pareto_filter
 from repro.optimization.problem import FunctionalProblem, Problem
@@ -43,10 +37,6 @@ __all__ = [
     "hypervolume",
     "ResourceShareAnalyzer",
     "ShareAnalysisResult",
-    "FleetShareAnalyzer",
-    "FleetShareAnalysisResult",
-    "FleetShare",
-    "FlowShareSpec",
     "ResourceShare",
     "ShareConstraint",
     "BudgetWindow",

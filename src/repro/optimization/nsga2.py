@@ -16,11 +16,11 @@ from-scratch implementation of the full algorithm:
 The evolutionary loop is **batched**: every generation draws all of
 its random numbers up front (see :meth:`NSGA2._draw_generation` for
 the pinned call pattern) and then applies the variation operators and
-the non-dominated sort either as numpy matrix operations
-(``vectorized=True``, the default) or as per-individual Python loops
-over the *same* pre-drawn numbers (``vectorized=False``). Both paths
-perform identical elementwise arithmetic, so the same seed yields the
-same Pareto front either way — the equivalence test suite pins this.
+the non-dominated sort as numpy matrix operations. The test suite keeps
+a per-individual loop reference (``tests/nsga2_reference.py``) over the
+*same* pre-drawn numbers; both perform identical elementwise
+arithmetic, so the same seed yields the same Pareto front either way —
+the equivalence suite pins this.
 
 RNG call pattern (changing this invalidates seeded results):
 
@@ -124,73 +124,6 @@ class NSGA2Result:
         return np.array([ind.f for ind in front]) if front else np.empty((0, 0))
 
 
-def constrained_dominates(a: Individual, b: Individual) -> bool:
-    """Deb's constrained-dominance relation."""
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if not a.feasible and not b.feasible:
-        return a.violation < b.violation
-    return bool(np.all(a.f <= b.f) and np.any(a.f < b.f))
-
-
-def fast_non_dominated_sort(population: list[Individual]) -> list[list[int]]:
-    """Assign ranks in place; return the fronts as index lists."""
-    n = len(population)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: list[list[int]] = [[]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if constrained_dominates(population[i], population[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif constrained_dominates(population[j], population[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            population[i].rank = 0
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
-        next_front: list[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    population[j].rank = current + 1
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # trailing empty front
-    return fronts
-
-
-def crowding_distance(population: list[Individual], front: list[int]) -> None:
-    """Assign crowding distances in place for one front."""
-    size = len(front)
-    for i in front:
-        population[i].crowding = 0.0
-    if size <= 2:
-        for i in front:
-            population[i].crowding = np.inf
-        return
-    n_obj = len(population[front[0]].f)
-    for m in range(n_obj):
-        ordered = sorted(front, key=lambda i: population[i].f[m])
-        low = population[ordered[0]].f[m]
-        high = population[ordered[-1]].f[m]
-        population[ordered[0]].crowding = np.inf
-        population[ordered[-1]].crowding = np.inf
-        span = high - low
-        if span == 0:
-            continue
-        for k in range(1, size - 1):
-            gap = population[ordered[k + 1]].f[m] - population[ordered[k - 1]].f[m]
-            population[ordered[k]].crowding += gap / span
-
-
 def dominance_matrix(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Boolean matrix ``D[i, j]`` = "i constrained-dominates j".
 
@@ -223,18 +156,16 @@ class _GenerationDraws(NamedTuple):
 
 
 class NSGA2:
-    """The evolutionary loop (batched; vectorized by default)."""
+    """The batched evolutionary loop."""
 
     def __init__(
         self,
         problem: Problem,
         config: NSGA2Config | None = None,
         seed: int = 0,
-        vectorized: bool = True,
     ) -> None:
         self.problem = problem
         self.config = config or NSGA2Config()
-        self.vectorized = bool(vectorized)
         self._rng = np.random.default_rng(seed)
         self._evaluations = 0
         mutation_p = self.config.mutation_probability
@@ -304,14 +235,9 @@ class NSGA2:
     # ------------------------------------------------------------------
     # Sorting, crowding, ranking
     # ------------------------------------------------------------------
-    def _fronts(self, F: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
-        """Non-dominated fronts as ascending index arrays."""
-        if self.vectorized:
-            return self._fronts_vectorized(F, V)
-        return self._fronts_scalar(F, V)
-
     @staticmethod
-    def _fronts_vectorized(F: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+    def _fronts(F: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+        """Non-dominated fronts as ascending index arrays."""
         dom = dominance_matrix(F, V)
         remaining = dom.sum(axis=0)
         assigned = np.zeros(len(F), dtype=bool)
@@ -323,48 +249,12 @@ class NSGA2:
             remaining = remaining - dom[front].sum(axis=0)
         return fronts
 
-    @staticmethod
-    def _dominates_scalar(fi: np.ndarray, vi: float, fj: np.ndarray, vj: float) -> bool:
-        if vi == 0.0 and vj != 0.0:
-            return True
-        if vi != 0.0 and vj == 0.0:
-            return False
-        if vi != 0.0:
-            return vi < vj
-        return bool(np.all(fi <= fj) and np.any(fi < fj))
-
-    def _fronts_scalar(self, F: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
-        n = len(F)
-        dominated_by: list[list[int]] = [[] for _ in range(n)]
-        remaining = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if i != j and self._dominates_scalar(F[i], V[i], F[j], V[j]):
-                    dominated_by[i].append(j)
-                    remaining[j] += 1
-        assigned = [False] * n
-        fronts: list[np.ndarray] = []
-        while not all(assigned):
-            front = [i for i in range(n) if not assigned[i] and remaining[i] == 0]
-            for i in front:
-                assigned[i] = True
-            for i in front:
-                for j in dominated_by[i]:
-                    remaining[j] -= 1
-            fronts.append(np.array(front, dtype=int))
-        return fronts
-
     def _crowding(self, F: np.ndarray, front: np.ndarray) -> np.ndarray:
         """Crowding distances for one front (aligned with ``front``)."""
         size = len(front)
         if size <= 2:
             return np.full(size, np.inf)
-        if self.vectorized:
-            return self._crowding_vectorized(F, front)
-        return self._crowding_scalar(F, front)
-
-    def _crowding_vectorized(self, F: np.ndarray, front: np.ndarray) -> np.ndarray:
-        crowd = np.zeros(len(front))
+        crowd = np.zeros(size)
         for m in range(self.problem.n_obj):
             order = np.argsort(F[front, m], kind="stable")
             vals = F[front[order], m]
@@ -374,21 +264,6 @@ class NSGA2:
             if span == 0:
                 continue
             crowd[order[1:-1]] += (vals[2:] - vals[:-2]) / span
-        return crowd
-
-    def _crowding_scalar(self, F: np.ndarray, front: np.ndarray) -> np.ndarray:
-        size = len(front)
-        crowd = np.zeros(size)
-        for m in range(self.problem.n_obj):
-            order = sorted(range(size), key=lambda k: F[front[k], m])
-            vals = [F[front[k], m] for k in order]
-            crowd[order[0]] = np.inf
-            crowd[order[-1]] = np.inf
-            span = vals[-1] - vals[0]
-            if span == 0:
-                continue
-            for k in range(1, size - 1):
-                crowd[order[k]] += (vals[k + 1] - vals[k - 1]) / span
         return crowd
 
     def _rank(self, F: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,28 +306,17 @@ class NSGA2:
         dominance-first tournament exactly.
         """
         a, b = draws.entrant_a, draws.entrant_b
-        if self.vectorized:
-            a_wins = (rank[a] < rank[b]) | ((rank[a] == rank[b]) & (crowd[a] > crowd[b]))
-            tied = (rank[a] == rank[b]) & (crowd[a] == crowd[b])
-            return np.where(a_wins | (tied & (draws.tie < 0.5)), a, b)
-        winners = np.empty(len(a), dtype=int)
-        for k in range(len(a)):
-            i, j = int(a[k]), int(b[k])
-            if rank[i] != rank[j]:
-                winners[k] = i if rank[i] < rank[j] else j
-            elif crowd[i] != crowd[j]:
-                winners[k] = i if crowd[i] > crowd[j] else j
-            else:
-                winners[k] = i if draws.tie[k] < 0.5 else j
-        return winners
+        a_wins = (rank[a] < rank[b]) | ((rank[a] == rank[b]) & (crowd[a] > crowd[b]))
+        tied = (rank[a] == rank[b]) & (crowd[a] == crowd[b])
+        return np.where(a_wins | (tied & (draws.tie < 0.5)), a, b)
 
     def _operator_tables(self, draws: _GenerationDraws) -> tuple[np.ndarray, np.ndarray]:
         """SBX ``beta`` and mutation ``delta`` tables from the raw draws.
 
         Always computed in matrix form: ``x ** y`` can differ by one ULP
         between numpy's scalar and SIMD code paths, so deriving the
-        transcendental tables once and sharing them keeps the scalar and
-        vectorized operator applications bit-identical.
+        transcendental tables once and sharing them keeps the loop
+        reference's operator applications bit-identical to these.
         """
         u = draws.sbx_u
         exponent = 1.0 / (self.config.crossover_eta + 1.0)
@@ -471,17 +335,6 @@ class NSGA2:
     def _variation(self, parents: np.ndarray, draws: _GenerationDraws) -> np.ndarray:
         """SBX crossover on consecutive parent pairs, then polynomial mutation."""
         beta, delta = self._operator_tables(draws)
-        if self.vectorized:
-            return self._variation_vectorized(parents, draws, beta, delta)
-        return self._variation_scalar(parents, draws, beta, delta)
-
-    def _variation_vectorized(
-        self,
-        parents: np.ndarray,
-        draws: _GenerationDraws,
-        beta: np.ndarray,
-        delta: np.ndarray,
-    ) -> np.ndarray:
         pop, n_var = parents.shape
         x1, x2 = parents[0::2], parents[1::2]
         apply = (
@@ -500,34 +353,6 @@ class NSGA2:
         mutate = (draws.mut_apply <= self._mutation_p) & (span > 0)
         return np.where(mutate, children + delta * span, children)
 
-    def _variation_scalar(
-        self,
-        parents: np.ndarray,
-        draws: _GenerationDraws,
-        beta: np.ndarray,
-        delta: np.ndarray,
-    ) -> np.ndarray:
-        pop, n_var = parents.shape
-        children = parents.copy()
-        for p in range(pop // 2):
-            x1, x2 = parents[2 * p], parents[2 * p + 1]
-            if draws.sbx_gate[p] > self.config.crossover_probability:
-                continue
-            for d in range(n_var):
-                if draws.sbx_apply[p, d] > 0.5 or abs(x1[d] - x2[d]) < 1e-14:
-                    continue
-                y1, y2 = np.minimum(x1[d], x2[d]), np.maximum(x1[d], x2[d])
-                b = beta[p, d]
-                children[2 * p, d] = 0.5 * ((y1 + y2) - b * (y2 - y1))
-                children[2 * p + 1, d] = 0.5 * ((y1 + y2) + b * (y2 - y1))
-        span = self.problem.upper - self.problem.lower
-        for i in range(pop):
-            for d in range(n_var):
-                if draws.mut_apply[i, d] > self._mutation_p or span[d] <= 0:
-                    continue
-                children[i, d] = children[i, d] + delta[i, d] * span[d]
-        return children
-
     # ------------------------------------------------------------------
     # Environmental selection
     # ------------------------------------------------------------------
@@ -541,18 +366,19 @@ class NSGA2:
             if len(selected) + len(front) <= target:
                 selected.extend(front.tolist())
                 continue
-            crowd_front = self._crowding(F, front)
-            remaining = target - len(selected)
-            if self.vectorized:
-                order = np.argsort(-crowd_front, kind="stable")[:remaining]
-            else:
-                order = sorted(
-                    range(len(front)), key=lambda k: crowd_front[k], reverse=True
-                )[:remaining]
-            selected.extend(front[np.asarray(order, dtype=int)].tolist())
+            keep = self._truncate(self._crowding(F, front), target - len(selected))
+            selected.extend(front[keep].tolist())
             break
         idx = np.asarray(selected, dtype=int)
         Xs, Fs, Vs = X[idx], F[idx], V[idx]
         # Re-rank the survivor set so ranks/crowding reflect the new population.
         rank, crowd = self._rank(Fs, Vs)
         return Xs, Fs, Vs, rank, crowd
+
+    @staticmethod
+    def _truncate(crowd: np.ndarray, keep: int) -> np.ndarray:
+        """Positions of a split front's ``keep`` widest-spaced members.
+
+        Largest crowding distance first; ties keep front order.
+        """
+        return np.argsort(-crowd, kind="stable")[:keep]

@@ -254,7 +254,7 @@ class _ShareProblem(Problem):
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Route through the batch path so a single evaluation and a batch
-        # row agree bit-for-bit (the scalar/vectorized equivalence contract).
+        # row agree bit-for-bit (the loop-reference equivalence contract).
         objectives, violations = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])
         return objectives[0], violations[0]
 
@@ -301,15 +301,11 @@ class ResourceShareAnalyzer:
         population_size: int = 100,
         generations: int = 250,
         seed: int = 0,
-        vectorized: bool = True,
     ) -> ShareAnalysisResult:
         """Search the provisioning-plan space; return the Pareto front.
 
         Solutions are de-duplicated on their integer allocation and
         sorted by ingestion share for stable presentation.
-        ``vectorized=False`` selects the optimizer's scalar reference
-        path — same seed, same front, much slower (equivalence tests
-        and benchmarks use it).
         """
         if budget_per_hour <= 0:
             raise OptimizationError(f"budget must be positive, got {budget_per_hour}")
@@ -318,7 +314,6 @@ class ResourceShareAnalyzer:
             problem,
             NSGA2Config(population_size=population_size, generations=generations),
             seed=seed,
-            vectorized=vectorized,
         )
         outcome = optimizer.run()
         unique: dict[tuple[int, int, int], ResourceShare] = {}

@@ -624,9 +624,10 @@ class Scenario:
         from repro.workload.clickstream import ClickStreamConfig
 
         pattern = self.workload.build(self.seed, self.duration)
-        # Same service calibration as the smoke scorecard scenarios
-        # (scorecard.py): load-bound analytics VMs and a short burst
-        # bucket so injected faults surface observable symptoms.
+        # Service calibration shared with the smoke scorecard scenarios
+        # (scorecard.py compiles them here): load-bound analytics VMs and
+        # a short burst bucket so injected faults surface observable
+        # symptoms.
         builder = (
             FlowBuilder(f"scenario-{self.name}", seed=self.seed)
             .ingestion(shards=self.shards)

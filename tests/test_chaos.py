@@ -15,7 +15,6 @@ from repro.control.sensors import CloudWatchSensor
 from repro.core.errors import ConfigurationError, SimulationError, TransientAPIError
 from repro.observability.events import EventBus
 from repro.simulation import SimClock
-from repro.simulation.faults import ScheduledVMFaults
 from repro.workload import ConstantRate, SinusoidalRate
 
 
@@ -431,11 +430,16 @@ class TestChaosRuns:
             .storage(write_units=300)
             .workload(ConstantRate(900))
             .control(LayerKind.ANALYTICS, style="adaptive", reference=60.0)
+            .chaos(ChaosSchedule(
+                faults=(FaultSpec(kind=FaultKind.WORKER_CRASH, start=600, intensity=1),),
+                seed=5,
+            ))
             .build()
         )
-        manager.engine.add_component(ScheduledVMFaults(manager.fleet, kill_times=[600]))
         manager.run(1200)
         assert manager.engine.last_run_used_spans is True
+        crash = [e for e in manager.chaos_injector.events if e.fault == "worker-crash"]
+        assert len(crash) == 1
 
     def test_recovery_times_cover_layer_faults(self):
         result = _sine_chaos_builder(FULL_SCHEDULE).build().run(3600)

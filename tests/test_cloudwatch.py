@@ -280,6 +280,11 @@ class TestAlarms:
         cw.put_metric_data("NS", "M", 5.0, 1)
         assert alarm.evaluate(cw, 1) == "INSUFFICIENT_DATA"
 
+    def test_alarm_with_no_data_yet_is_insufficient(self, cw):
+        # The metric was never written: no data, not an error.
+        alarm = MetricAlarm("empty", "NS", "Ghost", threshold=1.0, period=60)
+        assert alarm.evaluate(cw, 60) == "INSUFFICIENT_DATA"
+
     def test_ok_callback_on_recovery(self, cw):
         recovered = []
         alarm = MetricAlarm(

@@ -2,10 +2,8 @@
 
 Coverage: the 3-flow arbitration story (coordinator shifts per-flow
 bounds under a shared-pool squeeze while every flow stays healthy),
-region denials absorbed by the per-flow retry/breaker stack,
-process-parallel fleet sweeps byte-identical to serial ones, and the
-NSGA-II fleet share analyzer honoring budget and account-limit rows in
-both its scalar and vectorized paths.
+region denials absorbed by the per-flow retry/breaker stack, and
+process-parallel fleet sweeps byte-identical to serial ones.
 """
 
 import pickle
@@ -16,8 +14,8 @@ from repro.analysis.runner import Scenario, derive_scenario_seed, run_scenarios
 from repro.cloud.region import RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
-from repro.core.errors import ConfigurationError, OptimizationError
-from repro.core.flow import LayerKind, clickstream_flow_spec
+from repro.core.errors import ConfigurationError
+from repro.core.flow import LayerKind
 from repro.core.fleet import (
     COORDINATED_LAYERS,
     FleetFlowSpec,
@@ -25,12 +23,6 @@ from repro.core.fleet import (
     RegionFleetManager,
     sweep_fleet_scenarios,
 )
-from repro.optimization.fleet_shares import (
-    FLEET_LAYER_ORDER,
-    FleetShareAnalyzer,
-    FlowShareSpec,
-)
-from repro.optimization.share_analyzer import ShareConstraint
 from repro.workload.generators import SinusoidalRate
 
 
@@ -294,78 +286,3 @@ class TestParallelFleetSweeps:
                 strip_wall(parallel[name])
             )
 
-
-class TestFleetShareAnalyzer:
-    def _specs(self, n=2):
-        flow = clickstream_flow_spec()
-        return [
-            FlowShareSpec(
-                flow_id=f"flow{i}",
-                flow=flow,
-                constraints=(
-                    ShareConstraint.at_least(
-                        5, LayerKind.ANALYTICS, LayerKind.INGESTION
-                    ),
-                ),
-            )
-            for i in range(n)
-        ]
-
-    def test_duplicate_flow_ids_rejected(self):
-        specs = self._specs(1) * 2
-        with pytest.raises(OptimizationError, match="unique"):
-            FleetShareAnalyzer(specs)
-
-    def test_front_respects_budget_and_account_limits(self):
-        limits = RegionLimits(
-            max_instances=6, max_total_shards=8, max_total_write_units=900
-        )
-        analyzer = FleetShareAnalyzer(self._specs(), limits=limits)
-        front = analyzer.analyze(
-            budget_per_hour=2.0, population_size=40, generations=60, seed=3
-        )
-        assert front.solutions
-        caps = {
-            LayerKind.INGESTION: limits.max_total_shards,
-            LayerKind.ANALYTICS: limits.max_instances,
-            LayerKind.STORAGE: limits.max_total_write_units,
-        }
-        for solution in front.solutions:
-            assert solution.hourly_cost <= 2.0 + 1e-9
-            for kind in FLEET_LAYER_ORDER:
-                total = sum(share[kind] for _fid, share in solution.shares)
-                assert total <= caps[kind]
-
-    def test_scalar_and_vectorized_fronts_identical(self):
-        analyzer = FleetShareAnalyzer(self._specs())
-        kwargs = dict(budget_per_hour=2.5, population_size=30, generations=40, seed=5)
-        fast = analyzer.analyze(vectorized=True, **kwargs)
-        reference = analyzer.analyze(vectorized=False, **kwargs)
-        assert [repr(s) for s in fast.solutions] == [
-            repr(s) for s in reference.solutions
-        ]
-
-    def test_pick_strategies(self):
-        analyzer = FleetShareAnalyzer(self._specs())
-        front = analyzer.analyze(
-            budget_per_hour=2.5, population_size=30, generations=40, seed=5
-        )
-        cheapest = front.pick("cheapest")
-        assert all(cheapest.hourly_cost <= s.hourly_cost for s in front.solutions)
-        balanced = front.pick("balanced")
-        assert balanced in front.solutions
-        assert front.pick("max:flow0") in front.solutions
-        with pytest.raises(OptimizationError, match="unknown flow"):
-            front.pick("max:nope")
-        with pytest.raises(OptimizationError, match="unknown strategy"):
-            front.pick("wat")
-
-    def test_per_flow_costs_sum_to_fleet_cost(self):
-        analyzer = FleetShareAnalyzer(self._specs())
-        front = analyzer.analyze(
-            budget_per_hour=2.5, population_size=30, generations=40, seed=5
-        )
-        for solution in front.solutions:
-            assert sum(
-                share.hourly_cost for _fid, share in solution.shares
-            ) == pytest.approx(solution.hourly_cost)

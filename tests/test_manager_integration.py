@@ -102,15 +102,17 @@ class TestControlledFlow:
             assert len(result.loops[kind].records) > 10
 
     def test_elastic_run_costs_less_than_static_peak(self, result):
-        from repro.analysis import CostSummary
-        from repro.cloud.pricing import PriceBook
-
-        traces = {
-            result.flow.layer(kind).resource: result.capacity_trace(kind)
-            for kind in LayerKind
-        }
-        summary = CostSummary.from_traces(traces, PriceBook())
-        assert summary.savings > 0.0
+        peak = {kind: int(result.capacity_trace(kind).maximum()) for kind in LayerKind}
+        static = (
+            FlowBuilder("integration", seed=3)
+            .ingestion(shards=peak[LayerKind.INGESTION])
+            .analytics(vms=peak[LayerKind.ANALYTICS])
+            .storage(write_units=peak[LayerKind.STORAGE])
+            .workload(StepRate(base=600, level=2600, at=1800))
+            .build()
+            .run(5400)
+        )
+        assert result.total_cost < static.total_cost
 
 
 class TestDeterminism:

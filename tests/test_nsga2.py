@@ -11,8 +11,9 @@ import pytest
 
 from repro.core.errors import OptimizationError
 from repro.optimization import NSGA2, NSGA2Config, FunctionalProblem
-from repro.optimization.nsga2 import (
-    Individual,
+from repro.optimization.nsga2 import Individual
+
+from tests.nsga2_reference import (
     constrained_dominates,
     crowding_distance,
     fast_non_dominated_sort,

@@ -1,11 +1,12 @@
-"""Scalar-vs-vectorized NSGA-II equivalence suite.
+"""Matrix-vs-loop NSGA-II equivalence suite.
 
 The optimizer draws every generation's random numbers up front (the
 pinned call pattern in ``nsga2.py``'s module docstring) and then applies
-the operators either as numpy matrix expressions or as per-individual
-Python loops over the same draws. These tests pin the contract: **same
-seed, same Pareto front, bit for bit**, on a continuous known-optimum
-problem, a constrained problem, and the paper's Fig. 4 share problem.
+the operators as numpy matrix expressions. ``tests/nsga2_reference.py``
+applies them as per-individual Python loops over the same draws. These
+tests pin the contract: **same seed, same Pareto front, bit for bit**,
+on a continuous known-optimum problem, a constrained problem, and the
+paper's Fig. 4 share problem.
 """
 
 import numpy as np
@@ -18,8 +19,11 @@ from repro.optimization import (
     FunctionalProblem,
     ResourceShareAnalyzer,
     ShareConstraint,
+    share_analyzer,
 )
-from repro.optimization.nsga2 import Individual, constrained_dominates, dominance_matrix
+from repro.optimization.nsga2 import Individual, dominance_matrix
+
+from tests.nsga2_reference import ScalarNSGA2, constrained_dominates
 
 
 def schaffer():
@@ -42,8 +46,8 @@ def constrained():
 
 
 def run_both(problem_factory, config, seed):
-    vec = NSGA2(problem_factory(), config, seed=seed, vectorized=True).run()
-    ref = NSGA2(problem_factory(), config, seed=seed, vectorized=False).run()
+    vec = NSGA2(problem_factory(), config, seed=seed).run()
+    ref = ScalarNSGA2(problem_factory(), config, seed=seed).run()
     return vec, ref
 
 
@@ -96,11 +100,12 @@ class TestFig4Equivalence:
         ]
         return ResourceShareAnalyzer(clickstream_flow_spec(), constraints=constraints)
 
-    def test_share_analysis_identical_across_paths(self):
+    def test_share_analysis_identical_across_paths(self, monkeypatch):
         analyzer = self.paper_analyzer()
         kwargs = dict(budget_per_hour=1.5, population_size=40, generations=40, seed=0)
-        vec = analyzer.analyze(**kwargs, vectorized=True)
-        ref = analyzer.analyze(**kwargs, vectorized=False)
+        vec = analyzer.analyze(**kwargs)
+        monkeypatch.setattr(share_analyzer, "NSGA2", ScalarNSGA2)
+        ref = analyzer.analyze(**kwargs)
         assert [s.shares for s in vec.solutions] == [s.shares for s in ref.solutions]
         assert [s.hourly_cost for s in vec.solutions] == [s.hourly_cost for s in ref.solutions]
         assert vec.evaluations == ref.evaluations
