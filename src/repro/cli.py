@@ -59,6 +59,17 @@ def _ensure_writable(path: str) -> None:
         raise SystemExit(f"cannot write trace file {path!r}: {exc}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and durations, which must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _managed_run(
     duration: int,
     seed: int,
@@ -570,10 +581,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
                 # A partial run gates against the baseline restricted
                 # to the same names, so unrun scenarios are not drift.
                 baseline = baseline.restrict(args.name)
-            try:
-                drifts = matrix.compare(baseline)
-            except FlowerError as exc:
-                raise SystemExit(f"catalog gate: {exc}")
+            drifts = matrix.compare(baseline)
             if drifts:
                 failures.append(f"{len(drifts)} drifted fields")
                 print(f"\ngate: DRIFT vs {baseline_path}:")
@@ -603,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a managed flow and show the dashboard")
-    demo.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    demo.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
     demo.add_argument("--seed", type=int, default=7)
     demo.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
     demo.add_argument("--reference", type=float, default=60.0,
@@ -618,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="run a managed flow with the flight recorder and summarise it"
     )
-    trace.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    trace.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
     trace.add_argument("--seed", type=int, default=7)
     trace.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
     trace.add_argument("--reference", type=float, default=60.0)
@@ -643,25 +651,25 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     fig2 = sub.add_parser("fig2", help="workload dependency analysis on a static run")
-    fig2.add_argument("--duration", type=int, default=3 * 3600)
+    fig2.add_argument("--duration", type=_positive_int, default=3 * 3600)
     fig2.add_argument("--seed", type=int, default=7)
     fig2.set_defaults(func=cmd_fig2)
 
     pareto = sub.add_parser("pareto", help="resource share analysis (Fig. 4)")
     pareto.add_argument("--budget", type=float, default=1.5, help="dollars per hour")
-    pareto.add_argument("--generations", type=int, default=150)
+    pareto.add_argument("--generations", type=_positive_int, default=150)
     pareto.add_argument("--seed", type=int, default=0)
     pareto.add_argument("--pick", default="balanced",
                         help="random | balanced | cheapest | max:<layer>")
     pareto.set_defaults(func=cmd_pareto)
 
     shootout = sub.add_parser("shootout", help="compare the four controller styles")
-    shootout.add_argument("--duration", type=int, default=2 * 3600)
+    shootout.add_argument("--duration", type=_positive_int, default=2 * 3600)
     shootout.add_argument("--seed", type=int, default=5)
     shootout.add_argument("--reference", type=float, default=60.0)
     shootout.add_argument("--fast", action="store_true",
                           help="approximate (exact=False) workload path")
-    shootout.add_argument("--jobs", type=int, default=1,
+    shootout.add_argument("--jobs", type=_positive_int, default=1,
                           help="worker processes for the style sweep "
                                "(results are identical to a serial run)")
     shootout.set_defaults(func=cmd_shootout)
@@ -669,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="run a managed flow under injected faults and audit recovery"
     )
-    chaos.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    chaos.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
     chaos.add_argument("--reference", type=float, default=60.0)
@@ -685,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run several flows against one region's shared account limits",
     )
-    fleet.add_argument("--flows", type=int, default=3, help="number of flows")
-    fleet.add_argument("--duration", type=int, default=2 * 3600, help="simulated seconds")
+    fleet.add_argument("--flows", type=_positive_int, default=3, help="number of flows")
+    fleet.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
     fleet.add_argument("--seed", type=int, default=7)
     fleet.add_argument("--reference", type=float, default=60.0)
     fleet.add_argument("--max-instances", type=int, default=10,
@@ -699,10 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between coordinator arbitration passes")
     fleet.add_argument("--fast", action="store_true",
                        help="approximate (exact=False) workload path for every flow")
-    fleet.add_argument("--sweep", type=int, default=1, metavar="N",
+    fleet.add_argument("--sweep", type=_positive_int, default=1, metavar="N",
                        help="run the fleet as N independent scenario cases "
                             "(name-derived seeds) instead of one run")
-    fleet.add_argument("--jobs", type=int, default=1,
+    fleet.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for --sweep (byte-identical to jobs=1)")
     fleet.add_argument("--no-coordinator", action="store_true",
                        help="disable arbitration; region admission alone "
@@ -718,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=list(_SMOKE_SCENARIOS),
                            help="run only this scenario (repeatable; default: all)")
     scorecard.add_argument("--seed", type=int, default=7)
-    scorecard.add_argument("--duration", type=int, default=2 * 3600,
+    scorecard.add_argument("--duration", type=_positive_int, default=2 * 3600,
                            help="simulated seconds per scenario")
     scorecard.add_argument("--out", default=None, metavar="DIR",
                            help="write SCORECARD_<scenario>_smoke.json files here")
@@ -742,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--variant", choices=("smoke", "full"), default="smoke",
                           help="horizon variant (smoke: 2 h, the CI gate; "
                                "full: a day or more)")
-    scenario.add_argument("--jobs", type=int, default=1,
+    scenario.add_argument("--jobs", type=_positive_int, default=1,
                           help="worker processes for the run "
                                "(matrix is byte-identical at any value)")
     scenario.add_argument("--fast", action="store_true",
@@ -766,7 +774,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FlowerError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

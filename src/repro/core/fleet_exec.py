@@ -12,13 +12,21 @@ bit for bit — and spans. In a span run the executor
   run end still bound it), and each flow is split into **sub-spans at
   that flow's own events** by the pipeline's existing ``span_horizon``
   contract, so quiet flows stop fragmenting at busy flows' events;
-* runs each viable sub-span **time-vectorized**: when a flow enters a
-  sub-span with empty backlogs/buffers and the workload draws fit
-  every hoisted capacity, the whole recurrence degenerates to
-  closed-form numpy columns (accepted = handed = processed = records,
-  burst buckets refill monotonically, throttles are zero) — anything
-  else falls back, sub-span by sub-span, to the bit-exact scalar
-  reference in ``_FlowPipeline.run_span``.
+* runs **quiet ticks time-vectorized**: when a flow enters a sub-span
+  with empty backlogs/buffers, every tick whose draws fit every
+  hoisted capacity degenerates to closed-form numpy columns (accepted
+  = handed = processed = records, nothing buffers, burst buckets
+  refill monotonically between flushes). The vector prefix ends before
+  the first tick whose records, bytes, ``payload * records`` product
+  or dashboard read units exceed a cap, and on (including) the first
+  flush whose writes spill into a write backlog, so the cluster RNG
+  stops exactly at that flush's Poisson. Every other tick runs on the
+  bit-exact scalar reference, ``_FlowPipeline.run_span``.
+
+Both paths start from ``_FlowPipeline.hoist_capacities`` (the one
+place that owns the capacity call order, hence where pending changes
+ripen and publish their bus events) and end in
+``_FlowPipeline.commit_span`` (metric emission and costs).
 
 The equivalence argument (the *span* and *fleet execution contracts*,
 DESIGN.md):
@@ -38,9 +46,12 @@ DESIGN.md):
 
 Metrics land through the cloudwatch store's deferred batch path
 (flushed on first read, so controllers and snapshots observe exactly
-what per-tick puts would have stored), and the workload draws always
-happen *before* the viability decision — a fallback sub-span hands the
-drawn columns to the scalar reference, consuming every RNG stream
+what per-tick puts would have stored). A sub-span's columns are always
+drawn *before* the viability decision: the workload columns from
+``generate_span`` and, as a fourth column, the dashboard read units
+(one batched Poisson draw on the flow's read stream, ``None`` without
+a read workload). Ticks the vector path leaves get the same drawn
+columns in the scalar reference, so every RNG stream is consumed
 identically on both paths.
 """
 
@@ -191,23 +202,21 @@ class FleetSpanExecutor:
     def _run_sub_span(self, p: _FlowPipeline, clock: _SpanClock, span_end: int) -> None:
         """Run ``(clock.now, span_end]`` for one flow.
 
-        The workload columns for the whole sub-span are always drawn
-        *first* (identical RNG consumption on both paths); execution
-        then alternates between closed-form vector prefixes (while the
-        recurrence state is empty and the draws clear every hoisted
-        cap) and bounded scalar chunks fed the same pre-drawn columns.
-        The capacity hoists are idempotent within a tick (ripening
-        clears the pending target; the rebalance trigger fires only on
-        a VM-count change), so re-hoisting on vector resumption is safe
-        — capacities are constant across the sub-span by construction
-        (the sub-span is bounded by the flow's own next capacity
-        event).
+        The sub-span's columns are always drawn *first* — the workload
+        and the dashboard reads, each on its own RNG stream — so both
+        paths consume every stream identically. Execution then
+        alternates between closed-form vector prefixes over quiet ticks
+        and bounded scalar chunks fed the same pre-drawn columns. Each
+        path hoists the capacities itself; they are constant across the
+        sub-span by construction (it is bounded by the flow's own next
+        capacity event).
         """
         dt = clock.tick_seconds
         t = clock.now
         total = (span_end - t) // dt
-        records_all, payload_all, distinct_all = p.generator.generate_span(
-            t + dt, total, dt
+        columns = (
+            *p.generator.generate_span(t + dt, total, dt),
+            self._draw_reads(p, t + dt, total, dt),
         )
         stream = p.stream
         cluster = p.cluster
@@ -225,10 +234,7 @@ class FleetSpanExecutor:
                 or cluster._pending_records
             ):
                 consumed = self._vector_prefix(
-                    p, t, dt, remaining,
-                    records_all[offset : offset + remaining],
-                    payload_all[offset : offset + remaining],
-                    distinct_all[offset : offset + remaining],
+                    p, t, dt, _slice(columns, offset, offset + remaining)
                 )
                 if consumed:
                     t += consumed * dt
@@ -237,97 +243,88 @@ class FleetSpanExecutor:
                     continue
             step = chunk if chunk < remaining else remaining
             shim.now = t
-            p.run_span(
-                shim, t + step * dt,
-                (
-                    records_all[offset : offset + step],
-                    payload_all[offset : offset + step],
-                    distinct_all[offset : offset + step],
-                ),
-            )
+            p.run_span(shim, t + step * dt, _slice(columns, offset, offset + step))
             t += step * dt
             offset += step
             chunk *= 2
 
-    def _vector_prefix(
-        self,
-        p: _FlowPipeline,
-        now: int,
-        dt: int,
-        count: int,
-        records_col: list,
-        payload_col: list,
-        distinct_col: list,
-    ) -> int:
-        """Run the longest viable closed-form prefix of ``count`` ticks.
+    @staticmethod
+    def _draw_reads(p: _FlowPipeline, first_tick: int, count: int, dt: int) -> list | None:
+        """The sub-span's dashboard read units, ``None`` without reads.
 
-        Returns the number of ticks consumed: 0 when the very first
-        tick violates a hoisted cap (the caller falls back to a scalar
-        chunk), otherwise the prefix length up to (excluding) the first
-        violating tick. Assumes the recurrence state is empty on entry.
+        One batched Poisson draw is elementwise bit-identical to the
+        per-tick loop's scalar draws, and zero-rate ticks consume no
+        bits, matching its ``expected > 0`` guard.
         """
+        if p.read_workload is None:
+            return None
+        grid = p._read_grid
+        if grid is None or grid.step != dt:
+            grid = p._read_grid = RateGrid(p.read_workload, dt)
+        lam = np.asarray(grid.rates_array(first_tick, count), dtype=np.float64) * dt
+        if (lam <= 0.0).any():
+            lam = np.clip(lam, 0.0, None)
+        return p._read_rng.poisson(lam).tolist()
+
+    def _vector_prefix(self, p: _FlowPipeline, now: int, dt: int, columns: tuple) -> int:
+        """Run the longest closed-form prefix of quiet ticks.
+
+        A tick is *quiet* when its draws clear every hoisted cap:
+        nothing throttles or buffers in Kinesis or Storm, and no read
+        dips into the read burst bucket. Storage writes land only at
+        flush ticks, whose accept/burst arithmetic the window walk
+        replays exactly. The prefix ends
+
+        * before the first tick whose records exceed the Kinesis write
+          or read cap, the Storm poll limit or its capacity, whose bytes
+          exceed the byte cap, whose ``payload * records`` reaches
+          ``_EXACT_PRODUCT_LIMIT``, or whose read units exceed the read
+          cap;
+        * on the first flush whose writes spill into a write backlog —
+          that tick included, so the cluster RNG stops exactly at its
+          flush Poisson.
+
+        Returns the number of ticks consumed, 0 when the very first
+        tick is not quiet (the caller then runs a scalar chunk).
+        Assumes the recurrence state is empty on entry.
+        """
+        records_col, payload_col, distinct_col, reads_col = columns
+        n = count = len(records_col)
         first_tick = now + dt
         stream = p.stream
         cluster = p.cluster
         table = p.table
-        span_end = now + count * dt
+        caps = p.hoist_capacities(first_tick, dt)
+        record_cap = caps.record_cap
+        analytics_cap = caps.analytics_cap
+        write_cap = caps.write_cap
+        read_cap = caps.read_cap
 
-        # Capacity hoist — same call order as the scalar reference, so
-        # pending changes ripening at the first tick apply (and publish
-        # their bus events) at exactly the same point.
-        record_cap = stream.write_capacity_records(first_tick) * dt
-        byte_cap = stream.write_capacity_bytes(first_tick) * dt
-        shards = stream.shard_count(first_tick)
-        stream_read_cap = shards * stream.config.read_records_per_shard_per_second * dt
-        fleet = cluster.fleet
-        vms = fleet.running_count(first_tick)
-        analytics_cap = cluster._capacity_this_tick(vms, first_tick) * dt
-        poll_limit = int(analytics_cap * cluster.config.poll_factor)
-        provisioned_vms = fleet.provisioned_count(first_tick)
-        billable_vms = fleet.billable_count(first_tick)
-        write_units = table.write_capacity(first_tick)
-        eff_write_units = table.effective_write_capacity(first_tick)
-        read_units_cap = table.read_capacity(first_tick)
-        eff_read_units = table.effective_read_capacity(first_tick)
-        write_cap = eff_write_units * dt
-        read_cap = eff_read_units * dt
-        write_bucket_cap = table.config.burst_seconds * write_units
-        read_bucket_cap = table.config.burst_seconds * read_units_cap
-
-        # Viability, part 2: a tick's draws must clear every hoisted
-        # cap, or that tick throttles / buffers somewhere in the chain
-        # and the recurrence state goes live. The closed-form columns
-        # run up to the *first* violating tick; the caller continues
-        # from there (violating tick included) on the scalar reference
-        # with the remaining pre-drawn columns.
         records = np.asarray(records_col, dtype=np.int64)
         payload = np.asarray(payload_col, dtype=np.int64)
-        record_limit = min(record_cap, stream_read_cap, poll_limit, analytics_cap)
+        record_limit = min(record_cap, caps.stream_read_cap, caps.poll_limit, analytics_cap)
         violating = (
             (records > record_limit)
-            | (payload > byte_cap)
+            | (payload > caps.byte_cap)
             | (payload * records >= _EXACT_PRODUCT_LIMIT)
         )
-        viable = int(np.argmax(violating)) if violating.any() else count
-        if viable == 0:
-            return 0
-        if viable < count:
-            count = viable
-            span_end = now + viable * dt
-            records = records[:viable]
-            payload = payload[:viable]
-            records_col = records_col[:viable]
-            payload_col = payload_col[:viable]
-            distinct_col = distinct_col[:viable]
+        if reads_col is not None:
+            reads = np.asarray(reads_col, dtype=np.int64)
+            violating |= reads > read_cap
+        if violating.any():
+            count = int(np.argmax(violating))
+            if count == 0:
+                return 0
 
-        # --- Closed-form columns -------------------------------------
-        times = np.arange(first_tick, span_end + dt, dt, dtype=np.int64)
-        zeros_i, zeros_f = self._zero_columns(count)
-
-        # Analytics: window walk. Flush boundaries partition the span
+        # Analytics window walk. Flush boundaries partition the span
         # into the exact segments the scalar loop draws its CPU-noise
         # normals in, with each window's flush Poisson interleaved at
-        # the same bitstream position.
+        # the same bitstream position. Storage writes land only at
+        # flush ticks, so between them the write burst bucket refills
+        # monotonically — min(cap, b0 + k * write_cap) is exactly the
+        # per-tick recurrence (integer-valued float adds below 2**53) —
+        # and each writing flush replays the scalar accept/burst/refill
+        # arithmetic verbatim.
         window_seconds = cluster.config.window_seconds
         distinct_estimator = cluster._distinct_estimator
         storm_poisson = cluster._rng.poisson
@@ -338,6 +335,14 @@ class FleetSpanExecutor:
         we = cluster._window_elapsed
         noise_parts: list[np.ndarray] = []
         flush_writes: dict[int, int] = {}
+        write_bucket_cap = caps.write_bucket_cap
+        b = table._burst_bucket
+        d_consumed = np.zeros(n, dtype=np.int64)
+        d_throttled = np.zeros(n, dtype=np.int64)
+        d_burst = np.empty(n, dtype=np.float64)
+        write_backlog = 0
+        dropped_writes = 0
+        prev = -1  # the last flush tick that wrote
         i = 0
         while i < count:
             seg = -(-(window_seconds - we) // dt)
@@ -349,21 +354,67 @@ class FleetSpanExecutor:
             wk += sum(distinct_col[i : i + trunc])
             wr += sum(records_col[i : i + trunc])
             we += trunc * dt
-            if trunc == seg:
-                if distinct_estimator is not None:
-                    expected = distinct_estimator(wr)
-                    writes = int(storm_poisson(expected)) if expected > 0 else 0
-                else:
-                    ticks_in_window = max(1, we // dt)
-                    writes = int(round(wk / ticks_in_window))
-                if writes:
-                    flush_writes[i + seg - 1] = writes
-                wk = 0.0
-                wr = 0
-                we = 0
             i += trunc
+            if trunc < seg:
+                break
+            if distinct_estimator is not None:
+                expected = distinct_estimator(wr)
+                writes = int(storm_poisson(expected)) if expected > 0 else 0
+            else:
+                ticks_in_window = max(1, we // dt)
+                writes = int(round(wk / ticks_in_window))
+            wk = 0.0
+            wr = 0
+            we = 0
+            if not writes:
+                continue
+            fi = i - 1
+            flush_writes[fi] = writes
+            if fi > prev + 1:
+                d_burst[prev + 1 : fi] = np.minimum(
+                    write_bucket_cap,
+                    b + write_cap * np.arange(1, fi - prev, dtype=np.float64),
+                )
+                b = float(d_burst[fi - 1])
+            write_accepted = min(writes, write_cap)
+            excess = writes - write_accepted
+            if excess > 0 and b > 0:
+                from_burst = int(min(excess, b))
+                write_accepted += from_burst
+                excess -= from_burst
+                b -= from_burst
+            b = min(write_bucket_cap, b + max(0, write_cap - writes))
+            d_consumed[fi] = write_accepted
+            d_throttled[fi] = excess
+            d_burst[fi] = b
+            prev = fi
+            if excess > 0:
+                # The flush spills into a write backlog: the prefix
+                # ends here and the scalar reference retries it.
+                write_backlog = min(excess, p.MAX_BACKLOG)
+                dropped_writes = excess - write_backlog
+                count = i
+                break
+        if count - 1 > prev:
+            d_burst[prev + 1 : count] = np.minimum(
+                write_bucket_cap,
+                b + write_cap * np.arange(1, count - prev, dtype=np.float64),
+            )
+            b = float(d_burst[count - 1])
+        if count < n:
+            records = records[:count]
+            payload = payload[:count]
+            records_col = records_col[:count]
+            d_consumed = d_consumed[:count]
+            d_throttled = d_throttled[:count]
+            d_burst = d_burst[:count]
+            if reads_col is not None:
+                reads = reads[:count]
 
-        if vms > 0:
+        # --- Closed-form columns -------------------------------------
+        times = np.arange(first_tick, now + count * dt + dt, dt, dtype=np.int64)
+        zeros_i, zeros_f = self._zero_columns(count)
+        if caps.vms > 0:
             if analytics_cap > 0:
                 s_cpu = cluster.config.cpu_idle_percent + (
                     100.0 - cluster.config.cpu_idle_percent
@@ -389,136 +440,25 @@ class FleetSpanExecutor:
         alpha = min(1.0, dt / 60.0)
         for r in records_col:
             smoothed_rate += alpha * (r / dt - smoothed_rate)
-
-        # Storage writes: non-zero only at flush ticks, so the burst
-        # bucket refills monotonically between them — min(cap, b0 + k *
-        # write_cap) is exactly the per-tick recurrence (integer-valued
-        # float adds below 2**53) — and each flush tick replays the
-        # scalar accept/burst/refill arithmetic verbatim. If a flush
-        # overflows into a write backlog, the rest of the span's write
-        # side continues with the full scalar recurrence.
-        d_consumed = np.zeros(count, dtype=np.int64)
-        d_throttled = np.zeros(count, dtype=np.int64)
-        d_burst = np.empty(count, dtype=np.float64)
-        b = table._burst_bucket
-        write_backlog = 0
-        dropped_writes = 0
-        two_write_cap = 2 * write_cap
-        max_backlog = p.MAX_BACKLOG
-        scalar_from = None
-        prev = -1
-        for fi in sorted(flush_writes):
-            units = flush_writes[fi]
-            gap = fi - prev - 1
-            if gap:
-                d_burst[prev + 1 : fi] = np.minimum(
-                    write_bucket_cap,
-                    b + write_cap * np.arange(1, gap + 1, dtype=np.float64),
-                )
-                b = float(d_burst[fi - 1])
-            write_accepted = min(units, write_cap)
-            excess = units - write_accepted
-            if excess > 0 and b > 0:
-                from_burst = int(min(excess, b))
-                write_accepted += from_burst
-                excess -= from_burst
-                b -= from_burst
-            unused = max(0, write_cap - units)
-            b = min(write_bucket_cap, b + unused)
-            d_consumed[fi] = write_accepted
-            d_throttled[fi] = excess
-            d_burst[fi] = b
-            prev = fi
-            if excess > 0:
-                write_backlog = excess
-                if write_backlog > max_backlog:
-                    dropped_writes += write_backlog - max_backlog
-                    write_backlog = max_backlog
-                scalar_from = fi + 1
-                break
-        if scalar_from is None:
-            gap = count - 1 - prev
-            if gap:
-                d_burst[prev + 1 : count] = np.minimum(
-                    write_bucket_cap,
-                    b + write_cap * np.arange(1, gap + 1, dtype=np.float64),
-                )
-                b = float(d_burst[count - 1])
-        else:
-            for j in range(scalar_from, count):
-                retry_writes = min(write_backlog, two_write_cap)
-                units = flush_writes.get(j, 0) + retry_writes
-                write_accepted = min(units, write_cap)
-                excess = units - write_accepted
-                if excess > 0 and b > 0:
-                    from_burst = int(min(excess, b))
-                    write_accepted += from_burst
-                    excess -= from_burst
-                    b -= from_burst
-                unused = max(0, write_cap - units)
-                b = min(write_bucket_cap, b + unused)
-                write_backlog = write_backlog - retry_writes + excess
-                if write_backlog > max_backlog:
-                    dropped_writes += write_backlog - max_backlog
-                    write_backlog = max_backlog
-                d_consumed[j] = write_accepted
-                d_throttled[j] = excess
-                d_burst[j] = b
         if write_cap:
             d_util = (100.0 * d_consumed) / write_cap
         else:
             d_util = zeros_f
 
-        # Dashboard reads: the whole span's Poissons in one draw
-        # (elementwise bit-identical to the scalar sequence; zero-rate
-        # ticks consume no bits, matching the scalar guard), then a
-        # monotone bucket refill while no tick dips into burst.
-        read_burst = table._read_burst_bucket
-        if p.read_workload is not None:
-            read_grid = p._read_grid
-            if read_grid is None or read_grid.step != dt:
-                read_grid = p._read_grid = RateGrid(p.read_workload, dt)
-            lam = np.asarray(read_grid.rates_span(first_tick, count), dtype=np.float64) * dt
-            if count and (lam <= 0.0).any():
-                lam = np.clip(lam, 0.0, None)
-            read_units = p._read_rng.poisson(lam).astype(np.int64, copy=False)
-            max_read = int(read_units.max()) if count else 0
-            if max_read <= read_cap:
-                d_read_consumed = read_units
-                d_read_throttled = zeros_i
-                refill = np.cumsum(read_cap - read_units, dtype=np.float64)
-                read_burst_col = np.minimum(read_bucket_cap, read_burst + refill)
-                if count:
-                    read_burst = float(read_burst_col[count - 1])
-            else:
-                d_read_consumed = np.empty(count, dtype=np.int64)
-                d_read_throttled = np.empty(count, dtype=np.int64)
-                rb = read_burst
-                for idx, units in enumerate(read_units.tolist()):
-                    read_accepted = min(units, read_cap)
-                    read_excess = units - read_accepted
-                    if read_excess > 0 and rb > 0:
-                        from_burst = int(min(read_excess, rb))
-                        read_accepted += from_burst
-                        read_excess -= from_burst
-                        rb -= from_burst
-                    read_unused = max(0, read_cap - units)
-                    rb = min(read_bucket_cap, rb + read_unused)
-                    d_read_consumed[idx] = read_accepted
-                    d_read_throttled[idx] = read_excess
-                read_burst = rb
-            if read_cap:
-                d_read_util = (100.0 * d_read_consumed) / read_cap
-            else:
-                d_read_util = zeros_f
-        else:
+        # Dashboard reads: every tick within the read cap, so the read
+        # burst bucket only refills, monotonically.
+        if reads_col is None:
             d_read_consumed = zeros_i
-            d_read_throttled = zeros_i
             d_read_util = zeros_f
+        else:
+            d_read_consumed = reads
+            refill = np.cumsum(read_cap - reads, dtype=np.float64)
+            read_burst = np.minimum(caps.read_bucket_cap, table._read_burst_bucket + refill)
+            table._read_burst_bucket = float(read_burst[count - 1])
+            d_read_util = (100.0 * reads) / read_cap if read_cap else zeros_f
 
         # --- State write-back (mirrors the scalar reference) ---------
         span_accepted = sum(records_col)
-        span_writes = sum(flush_writes.values())
         p._write_backlog = write_backlog
         if dropped_writes:
             p.dropped_writes += dropped_writes
@@ -526,7 +466,7 @@ class FleetSpanExecutor:
         stream.total_accepted_records += span_accepted
         stream.total_read_records += span_accepted
         cluster.total_processed += span_accepted
-        cluster.total_writes_emitted += span_writes
+        cluster.total_writes_emitted += sum(flush_writes.values())
         table.total_write_accepted += int(d_consumed.sum())
         cluster._window_keys = wk
         cluster._window_records = wr
@@ -535,29 +475,18 @@ class FleetSpanExecutor:
         cluster._tick_processed = records_col[count - 1]
         cluster._tick_writes_emitted = flush_writes.get(count - 1, 0)
         table._burst_bucket = float(b)
-        table._read_burst_bucket = float(read_burst)
 
-        # --- Columnar emission + costs (same order, same values) -----
-        cloudwatch = p.cloudwatch
-        stream.emit_metrics_span(
-            cloudwatch, times, records, payload, zeros_i, records,
-            k_util, zeros_i, zeros_f, shards,
+        p.commit_span(
+            caps, times,
+            (records, payload, zeros_i, records, k_util, zeros_i, zeros_f),
+            (s_cpu, records, zeros_i, s_writes),
+            (d_consumed, d_throttled, d_util, d_burst,
+             d_read_consumed, zeros_i, d_read_util),
+            span_accepted, count * dt,
         )
-        cluster.emit_metrics_span(
-            cloudwatch, times, s_cpu, records, zeros_i, s_writes,
-            vms, provisioned_vms,
-        )
-        table.emit_metrics_span(
-            cloudwatch, times, d_consumed, d_throttled, d_util, d_burst,
-            d_read_consumed, d_read_throttled, d_read_util,
-            write_units, read_units_cap,
-        )
-
-        span_seconds = count * dt
-        meters = p.cost_meters
-        meters["ingestion"].accrue(shards, span_seconds)
-        meters["ingestion"].record_usage(span_accepted)
-        meters["analytics"].accrue(billable_vms, span_seconds)
-        meters["storage"].accrue(write_units, span_seconds)
-        meters["storage_reads"].accrue(read_units_cap, span_seconds)
         return count
+
+
+def _slice(columns: tuple, start: int, stop: int) -> tuple:
+    """``columns[start:stop]`` per column, keeping an absent column ``None``."""
+    return tuple(None if col is None else col[start:stop] for col in columns)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 from repro.chaos.injector import ChaosEvent, ChaosInjector
 from repro.chaos.invariants import InvariantChecker, InvariantReport
@@ -89,6 +90,33 @@ class ServiceCapacities:
     def __post_init__(self) -> None:
         if self.shards < 1 or self.vms < 1 or self.write_units < 1 or self.read_units < 1:
             raise ConfigurationError("all initial capacities must be >= 1")
+
+
+class _SpanCapacities(NamedTuple):
+    """Every capacity a span's recurrence reads, constant across the span.
+
+    Per-tick caps (``*_cap``, ``poll_limit``) are already multiplied by
+    the tick length. Provisioned DynamoDB units drive metrics, burst-
+    bucket sizing and cost; the *effective* units (provisioned minus any
+    injected throttle storm) drive ``write_cap``/``read_cap``, what the
+    table actually accepts per tick.
+    """
+
+    record_cap: int
+    byte_cap: int
+    shards: int
+    stream_read_cap: int
+    vms: int
+    analytics_cap: int
+    poll_limit: int
+    provisioned_vms: int
+    billable_vms: int
+    write_units: int
+    read_units: int
+    write_cap: int
+    read_cap: int
+    write_bucket_cap: int
+    read_bucket_cap: int
 
 
 class _FlowPipeline:
@@ -241,6 +269,75 @@ class _FlowPipeline:
                 horizon = bound
         return horizon
 
+    def hoist_capacities(self, first_tick: int, dt: int) -> _SpanCapacities:
+        """Look up every capacity a span starting at ``first_tick`` reads.
+
+        Both span paths start here. The lookups run in the per-tick
+        loop's call order, so a pending change ripe at the first tick
+        applies — and publishes its bus event — exactly where
+        :meth:`on_tick` would apply it. Repeating the hoist within a
+        tick is harmless: ripening clears the pending target, and the
+        rebalance trigger fires only on a VM-count change.
+        """
+        stream = self.stream
+        cluster = self.cluster
+        table = self.table
+        record_cap = stream.write_capacity_records(first_tick) * dt
+        byte_cap = stream.write_capacity_bytes(first_tick) * dt
+        shards = stream.shard_count(first_tick)
+        stream_read_cap = shards * stream.config.read_records_per_shard_per_second * dt
+        fleet = cluster.fleet
+        vms = fleet.running_count(first_tick)
+        analytics_cap = cluster._capacity_this_tick(vms, first_tick) * dt
+        poll_limit = int(analytics_cap * cluster.config.poll_factor)
+        provisioned_vms = fleet.provisioned_count(first_tick)
+        billable_vms = fleet.billable_count(first_tick)
+        write_units = table.write_capacity(first_tick)
+        write_cap = table.effective_write_capacity(first_tick) * dt
+        read_units = table.read_capacity(first_tick)
+        read_cap = table.effective_read_capacity(first_tick) * dt
+        burst_seconds = table.config.burst_seconds
+        return _SpanCapacities(
+            record_cap, byte_cap, shards, stream_read_cap, vms, analytics_cap,
+            poll_limit, provisioned_vms, billable_vms, write_units, read_units,
+            write_cap, read_cap, burst_seconds * write_units, burst_seconds * read_units,
+        )
+
+    def commit_span(
+        self,
+        caps: _SpanCapacities,
+        times,
+        kinesis: tuple,
+        storm: tuple,
+        storage: tuple,
+        span_accepted: int,
+        span_seconds: int,
+    ) -> None:
+        """Emit a span's metric columns and meter its spend.
+
+        The shared tail of both span paths. ``kinesis``, ``storm`` and
+        ``storage`` are each service's per-tick columns in its
+        ``emit_metrics_span`` order; the values and the append order are
+        what per-tick ``emit_metrics`` calls would produce. Every accrued
+        quantity is an integer constant across the span, so one accrue
+        over the whole span sums exactly (integer-valued float adds below
+        2**53 are exact); usage volumes are ints and sum exactly too.
+        """
+        cloudwatch = self.cloudwatch
+        self.stream.emit_metrics_span(cloudwatch, times, *kinesis, caps.shards)
+        self.cluster.emit_metrics_span(
+            cloudwatch, times, *storm, caps.vms, caps.provisioned_vms
+        )
+        self.table.emit_metrics_span(
+            cloudwatch, times, *storage, caps.write_units, caps.read_units
+        )
+        meters = self.cost_meters
+        meters["ingestion"].accrue(caps.shards, span_seconds)
+        meters["ingestion"].record_usage(span_accepted)
+        meters["analytics"].accrue(caps.billable_vms, span_seconds)
+        meters["storage"].accrue(caps.write_units, span_seconds)
+        meters["storage_reads"].accrue(caps.read_units, span_seconds)
+
     def run_span(self, clock: SimClock, span_end: int, columns) -> None:
         """Execute the ticks ``(clock.now, span_end]`` as one batch.
 
@@ -253,44 +350,31 @@ class _FlowPipeline:
         over plain locals, and the per-tick metric values land as
         columnar batch appends at the end of the span.
 
-        ``columns`` are the ``(records, payload, distinct)`` workload
-        columns the executor drew for these ticks, exactly what
-        ``generate_span`` returns (the generator touches no service
-        state, so its draws can lead the span as in the per-tick loop).
+        ``columns`` are the ``(records, payload, distinct, reads)``
+        columns the executor drew for these ticks: the first three
+        exactly what ``generate_span`` returns, the last the dashboard
+        read units per tick (``None`` without a read workload). Neither
+        draw touches service state, so both can lead the span as they
+        lead each tick of the per-tick loop.
         """
         dt = clock.tick_seconds
         now = clock.now
         count = (span_end - now) // dt
-        first_tick = now + dt
         stream = self.stream
         cluster = self.cluster
         table = self.table
-        records_col, payload_col, distinct_col = columns
-
-        # Capacity hoist, in the per-tick loop's call order so pending
-        # changes ripe at the first tick apply — and publish their bus
-        # events — exactly where the reference path would apply them.
-        record_cap = stream.write_capacity_records(first_tick) * dt
-        byte_cap = stream.write_capacity_bytes(first_tick) * dt
-        shards = stream.shard_count(first_tick)
-        stream_read_cap = shards * stream.config.read_records_per_shard_per_second * dt
-        fleet = cluster.fleet
-        vms = fleet.running_count(first_tick)
-        analytics_cap = cluster._capacity_this_tick(vms, first_tick) * dt
-        poll_limit = int(analytics_cap * cluster.config.poll_factor)
-        provisioned_vms = fleet.provisioned_count(first_tick)
-        billable_vms = fleet.billable_count(first_tick)
-        # Provisioned units drive metrics, burst-bucket sizing and cost;
-        # the *effective* units (provisioned minus any injected throttle
-        # storm) drive what the table actually accepts per tick.
-        write_units = table.write_capacity(first_tick)
-        eff_write_units = table.effective_write_capacity(first_tick)
-        read_units_cap = table.read_capacity(first_tick)
-        eff_read_units = table.effective_read_capacity(first_tick)
-        write_cap = eff_write_units * dt
-        read_cap = eff_read_units * dt
-        write_bucket_cap = table.config.burst_seconds * write_units
-        read_bucket_cap = table.config.burst_seconds * read_units_cap
+        records_col, payload_col, distinct_col, reads_col = columns
+        caps = self.hoist_capacities(now + dt, dt)
+        record_cap = caps.record_cap
+        byte_cap = caps.byte_cap
+        stream_read_cap = caps.stream_read_cap
+        vms = caps.vms
+        analytics_cap = caps.analytics_cap
+        poll_limit = caps.poll_limit
+        write_cap = caps.write_cap
+        read_cap = caps.read_cap
+        write_bucket_cap = caps.write_bucket_cap
+        read_bucket_cap = caps.read_bucket_cap
 
         # CPU-noise normals are drawn in flush-bounded segments: the
         # scalar loop's draw order on the cluster's stream is one normal
@@ -303,13 +387,7 @@ class _FlowPipeline:
         noise_buf: list[float] = []
         noise_idx = 0
 
-        has_reads = self.read_workload is not None
-        if has_reads:
-            read_grid = self._read_grid
-            if read_grid is None or read_grid.step != dt:
-                read_grid = self._read_grid = RateGrid(self.read_workload, dt)
-            read_rates = read_grid.rates_span(first_tick, count)
-            read_poisson = self._read_rng.poisson
+        has_reads = reads_col is not None
 
         # Service state into locals for the recurrence.
         max_backlog = self.MAX_BACKLOG
@@ -487,8 +565,7 @@ class _FlowPipeline:
 
             # 3b. Dashboard reads (on_tick step 3b).
             if has_reads:
-                read_expected = read_rates[i] * dt
-                read_units = int(read_poisson(read_expected)) if read_expected > 0 else 0
+                read_units = reads_col[i]
                 read_accepted = min(read_units, read_cap)
                 read_excess = read_units - read_accepted
                 if read_excess > 0 and read_burst > 0:
@@ -552,33 +629,14 @@ class _FlowPipeline:
         table._burst_bucket = burst
         table._read_burst_bucket = read_burst
 
-        # 4. Columnar metric emission (same values, same append order).
-        cloudwatch = self.cloudwatch
-        stream.emit_metrics_span(
-            cloudwatch, times, k_accepted, k_accepted_bytes, k_throttled, k_read,
-            k_util, k_backlog, k_lag, shards,
+        self.commit_span(
+            caps, times,
+            (k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog, k_lag),
+            (s_cpu, s_processed, s_pending, s_writes),
+            (d_consumed, d_throttled, d_util, d_burst,
+             d_read_consumed, d_read_throttled, d_read_util),
+            span_accepted, count * dt,
         )
-        cluster.emit_metrics_span(
-            cloudwatch, times, s_cpu, s_processed, s_pending, s_writes,
-            vms, provisioned_vms,
-        )
-        table.emit_metrics_span(
-            cloudwatch, times, d_consumed, d_throttled, d_util, d_burst,
-            d_read_consumed, d_read_throttled, d_read_util,
-            write_units, read_units_cap,
-        )
-
-        # 5. Costs: every accrued quantity is an integer and constant
-        #    across the span, so one accrue over count*dt seconds sums
-        #    exactly (integer-valued float adds below 2**53 are exact);
-        #    usage volumes are ints and sum exactly too.
-        span_seconds = count * dt
-        meters = self.cost_meters
-        meters["ingestion"].accrue(shards, span_seconds)
-        meters["ingestion"].record_usage(span_accepted)
-        meters["analytics"].accrue(billable_vms, span_seconds)
-        meters["storage"].accrue(write_units, span_seconds)
-        meters["storage_reads"].accrue(read_units_cap, span_seconds)
 
 
 @dataclass

@@ -10,9 +10,10 @@ two kinds of work:
   seconds (controller invocations, snapshot collection). A task's phase
   offsets its first firing so that, e.g., controllers can be staggered.
 
-The run loop is deliberately simple and allocation-free per tick: this
-engine routinely executes hundreds of thousands of ticks inside the
-benchmark suite.
+There is one per-tick loop and one span loop, each the same with or
+without a profiler: this engine routinely executes hundreds of
+thousands of ticks inside the benchmark suite, so neither loop does
+more per tick than dispatch and timing.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ class SpanComponent(Protocol):
       tick before any internal state event (pending reshard/rebalance/
       warm-up completion) would change the recurrence's coefficients —
       except events landing on the very next tick, which the component
-      resolves itself at span start — and exactly the tick of an
-      aggregation-window flush, so a flush is always a span's last
-      tick. The returned time must lie on the tick grid.
+      resolves itself at span start. The returned time must lie on
+      the tick grid.
     * ``run_span(clock, span_end)`` executes ticks ``clock.now + dt ..
       span_end`` (inclusive) without advancing the clock; the engine
       advances it afterwards. Results must be bit-identical to calling
@@ -120,18 +120,16 @@ class SimulationEngine:
     """Tick loop over registered components and periodic tasks."""
 
     clock: SimClock = field(default_factory=SimClock)
-    #: Opt-in wall-clock profiler. ``None`` (the default) keeps the
-    #: original allocation-free tick loop — the dispatch happens once
-    #: per :meth:`run` call, not per tick.
+    #: Opt-in wall-clock profiler; ``None`` (the default) records
+    #: nothing.
     profiler: TickProfiler | None = None
     #: Batch quiet ticks into spans when every component supports the
-    #: :class:`SpanComponent` protocol and no per-tick hooks are
-    #: registered; otherwise :meth:`run` silently falls back to the
-    #: per-tick reference loop. Disable to force the reference loop.
+    #: :class:`SpanComponent` protocol; otherwise :meth:`run` silently
+    #: falls back to the per-tick reference loop. Disable to force the
+    #: reference loop.
     span_execution: bool = True
     _components: list[TickComponent] = field(default_factory=list)
     _tasks: list[PeriodicTask] = field(default_factory=list)
-    _tick_hooks: list[Callable[[int], None]] = field(default_factory=list)
     _stopped: bool = False
     _labels_cache: dict[int, str] | None = field(default=None, init=False, repr=False)
     #: Whether the most recent :meth:`run` used the span scheduler.
@@ -193,10 +191,6 @@ class SimulationEngine:
         self.add_task(task)
         return task
 
-    def on_each_tick(self, hook: Callable[[int], None]) -> None:
-        """Register a hook called after all components each tick."""
-        self._tick_hooks.append(hook)
-
     def stop(self) -> None:
         """Request the run loop to stop after the current tick."""
         self._stopped = True
@@ -205,9 +199,10 @@ class SimulationEngine:
         """Run for ``duration_seconds`` of simulated time.
 
         Each tick executes, in order: every component's ``on_tick``,
-        every due periodic task, every tick hook. Tasks see the time of
-        the tick that just completed, so a controller with a 60 s period
-        acts on metrics covering the full preceding minute.
+        then every due periodic task. Tasks see the time of the tick
+        that just completed, so a controller with a 60 s period acts on
+        metrics covering the full preceding minute. With a profiler,
+        every component, task and tick is timed.
 
         Returns the simulated time at which the run stopped.
         """
@@ -220,26 +215,29 @@ class SimulationEngine:
             )
         self._stopped = False
         end = self.clock.now + duration_seconds
-        self.last_run_used_spans = (
-            self.span_execution
-            and not self._tick_hooks
-            and all(
-                hasattr(c, "run_span") and hasattr(c, "span_horizon") for c in self._components
-            )
+        self.last_run_used_spans = self.span_execution and all(
+            hasattr(c, "run_span") and hasattr(c, "span_horizon") for c in self._components
         )
         if self.last_run_used_spans:
             return self._run_spans(end)
-        if self.profiler is not None:
-            return self._run_profiled(end)
+        profiler = self.profiler
+        labels = self._component_labels()
         while self.clock.now < end and not self._stopped:
             now = self.clock.advance()
+            tick_started = perf_counter()
             for component in self._components:
+                started = perf_counter()
                 component.on_tick(self.clock)
+                if profiler is not None:
+                    profiler.record_component(labels[id(component)], perf_counter() - started)
             for task in self._tasks:
                 if task.due(now):
+                    started = perf_counter()
                     task.callback(now)
-            for hook in self._tick_hooks:
-                hook(now)
+                    if profiler is not None:
+                        profiler.record_task(task.name, perf_counter() - started)
+            if profiler is not None:
+                profiler.record_tick(perf_counter() - tick_started)
         return self.clock.now
 
     def _run_spans(self, end: int) -> int:
@@ -282,28 +280,22 @@ class SimulationEngine:
                     boundary = horizon
             if boundary < now + minimum:
                 boundary = now + minimum
-            if profiler is not None:
-                span_started = perf_counter()
-                for component in self._components:
-                    started = perf_counter()
-                    component.run_span(self.clock, boundary)
+            span_started = perf_counter()
+            for component in self._components:
+                started = perf_counter()
+                component.run_span(self.clock, boundary)
+                if profiler is not None:
                     profiler.record_component(labels[id(component)], perf_counter() - started)
-                self.clock.advance_to(boundary)
-                while calendar and calendar[0][0] <= boundary:
-                    _due, seq, task = heapq.heappop(calendar)
-                    started = perf_counter()
-                    task.callback(boundary)
+            self.clock.advance_to(boundary)
+            while calendar and calendar[0][0] <= boundary:
+                _due, seq, task = heapq.heappop(calendar)
+                started = perf_counter()
+                task.callback(boundary)
+                if profiler is not None:
                     profiler.record_task(task.name, perf_counter() - started)
-                    heapq.heappush(calendar, (task.next_due(boundary), seq, task))
+                heapq.heappush(calendar, (task.next_due(boundary), seq, task))
+            if profiler is not None:
                 profiler.record_span((boundary - now) // dt, perf_counter() - span_started)
-            else:
-                for component in self._components:
-                    component.run_span(self.clock, boundary)
-                self.clock.advance_to(boundary)
-                while calendar and calendar[0][0] <= boundary:
-                    _due, seq, task = heapq.heappop(calendar)
-                    task.callback(boundary)
-                    heapq.heappush(calendar, (task.next_due(boundary), seq, task))
             if len(self._tasks) > task_count:
                 # A callback registered new tasks mid-run: enter them
                 # into the calendar from the boundary they appeared at.
@@ -311,25 +303,4 @@ class SimulationEngine:
                     task = self._tasks[seq]
                     heapq.heappush(calendar, (task.next_due(boundary), seq, task))
                 task_count = len(self._tasks)
-        return self.clock.now
-
-    def _run_profiled(self, end: int) -> int:
-        """The same tick loop, timed per component, task and whole tick."""
-        profiler = self.profiler
-        labels = self._component_labels()
-        while self.clock.now < end and not self._stopped:
-            now = self.clock.advance()
-            tick_started = perf_counter()
-            for component in self._components:
-                started = perf_counter()
-                component.on_tick(self.clock)
-                profiler.record_component(labels[id(component)], perf_counter() - started)
-            for task in self._tasks:
-                if task.due(now):
-                    started = perf_counter()
-                    task.callback(now)
-                    profiler.record_task(task.name, perf_counter() - started)
-            for hook in self._tick_hooks:
-                hook(now)
-            profiler.record_tick(perf_counter() - tick_started)
         return self.clock.now

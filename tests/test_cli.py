@@ -24,6 +24,42 @@ class TestParser:
         assert args.out is None
         assert args.profile is False
 
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--duration", "0"],
+        ["trace", "--duration", "-60"],
+        ["fleet", "--flows", "0"],
+        ["fleet", "--sweep", "0"],
+        ["fleet", "--jobs", "0"],
+        ["shootout", "--jobs", "-1"],
+        ["scenario", "run", "--jobs", "0"],
+        ["pareto", "--generations", "0"],
+    ])
+    def test_non_positive_counts_rejected_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        flag = next(a for a in argv if a.startswith("--"))
+        assert f"argument {flag}: must be positive" in capsys.readouterr().err
+
+    def test_non_integer_count_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["demo", "--duration", "soon"])
+        assert "invalid int value: 'soon'" in capsys.readouterr().err
+
+
+class TestErrors:
+    """A library error ends the command with one line, not a traceback."""
+
+    def test_configuration_error_becomes_exit_message(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--coordinate-period", "0", "--duration", "600"])
+        assert exc.value.code == "error: coordinator period must be positive, got 0"
+
+    def test_optimization_error_becomes_exit_message(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", "--budget", "-1", "--generations", "2"])
+        assert exc.value.code == "error: budget must be positive, got -1.0"
+
 
 class TestCommands:
     def test_demo_prints_dashboard_and_cost(self, capsys):
@@ -226,7 +262,7 @@ class TestCommands:
         baseline = tmp_path / "baseline.json"
         assert main(["scenario", "run", "step-surge-worker-crash",
                      "--out", str(baseline)]) == 0
-        with pytest.raises(SystemExit, match="catalog gate"):
+        with pytest.raises(SystemExit, match="error: cannot compare scorecard"):
             main(["scenario", "run", "step-surge-worker-crash", "--fast",
                   "--check", "--baseline", str(baseline)])
 

@@ -94,16 +94,6 @@ class TestSimulationEngine:
         engine.run(240)
         assert fired == [30, 90, 150, 210]
 
-    def test_tick_hooks_run_after_components(self):
-        engine = SimulationEngine()
-        events = []
-        recorder = _Recorder()
-        engine.add_component(recorder)
-        engine.on_each_tick(lambda t: events.append(("hook", t, len(recorder.times))))
-        engine.run(2)
-        # At each hook firing, the component has already seen that tick.
-        assert events == [("hook", 1, 1), ("hook", 2, 2)]
-
     def test_stop_ends_run_early(self):
         engine = SimulationEngine()
         engine.every(3, lambda t: engine.stop(), name="stopper")

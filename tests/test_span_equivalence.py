@@ -83,6 +83,33 @@ def assert_equivalent(reference, spanned, events: bool = False):
         assert _decisions(spanned) == _decisions(reference)
 
 
+def _count_scalar_calls(monkeypatch):
+    """Record ``(clock.now, span_end)`` of every scalar-reference entry."""
+    calls = []
+    original = _FlowPipeline.run_span
+
+    def counting(self, clock, span_end, columns):
+        calls.append((clock.now, span_end))
+        return original(self, clock, span_end, columns)
+
+    monkeypatch.setattr(_FlowPipeline, "run_span", counting)
+    return calls
+
+
+def _series(result, namespace, metric):
+    """``(times, values)`` of the one stored series named ``metric``."""
+    (series,) = [
+        s for key, s in result.cloudwatch._series.items()
+        if key[0] == namespace and key[1] == metric
+    ]
+    return series.times.tolist(), series.values.tolist()
+
+
+def _first_tick(result, namespace, metric, above=0):
+    times, values = _series(result, namespace, metric)
+    return next(t for t, v in zip(times, values) if v > above)
+
+
 def run_pair(make_builder, horizon, events: bool = False):
     """Build + run the flow with spans off and on; return both results."""
     results = []
@@ -434,29 +461,87 @@ class TestExecutorScalarFallback:
             .workload(SinusoidalRate(mean=1200, amplitude=600, period=600))
         )
 
-    @staticmethod
-    def _count_scalar_calls(monkeypatch):
-        calls = []
-        original = _FlowPipeline.run_span
-
-        def counting(self, clock, span_end, columns):
-            calls.append((clock.now, span_end))
-            return original(self, clock, span_end, columns)
-
-        monkeypatch.setattr(_FlowPipeline, "run_span", counting)
-        return calls
-
     def test_quiet_flow_stays_on_the_vector_path(self, monkeypatch):
-        calls = self._count_scalar_calls(monkeypatch)
+        calls = _count_scalar_calls(monkeypatch)
         self._build().build().run(900)
         assert calls == []
 
     def test_product_limit_falls_back_to_scalar(self, monkeypatch):
         # Per-tick payload x records spans ~1e8..1.3e9 for this workload.
         monkeypatch.setattr(fleet_exec, "_EXACT_PRODUCT_LIMIT", 700_000_000)
-        calls = self._count_scalar_calls(monkeypatch)
+        calls = _count_scalar_calls(monkeypatch)
         reference, spanned = run_pair(self._build, 900)
         assert calls, "the lowered limit never sent a tick to the scalar path"
         # Crossings land inside spans, not only on their first tick.
         assert any(now % 60 for now, _ in calls)
         assert_equivalent(reference, spanned)
+
+
+class TestQuietPrefixCutPoints:
+    """Where the executor's closed-form prefix ends and the scalar
+    reference takes over.
+
+    The prefix covers quiet ticks only. A flush whose writes spill into
+    a write backlog is its last tick; a tick whose dashboard reads
+    exceed the read cap is its first excluded tick. Each case is
+    static (no control boundaries), so the cut lands inside a sub-span
+    and only the executor's own checks can put it there.
+    """
+
+    @staticmethod
+    def _flow(name, write_units=300, workload=None):
+        return (
+            FlowBuilder(name, seed=4)
+            .ingestion(shards=4)
+            .analytics(vms=4)
+            .storage(write_units=write_units)
+            .workload(workload or SinusoidalRate(mean=900, amplitude=400, period=600))
+        )
+
+    def test_write_spill_ends_the_prefix_on_its_flush(self, monkeypatch):
+        def build():
+            # Quiet for 300 s, then enough writes per window to drain
+            # the burst bucket until one flush overflows into a backlog.
+            return self._flow(
+                "cut-writes", write_units=38,
+                workload=StepRate(base=200, level=1500, at=300),
+            )
+
+        calls = _count_scalar_calls(monkeypatch)
+        reference, spanned = run_pair(build, 900)
+        assert_equivalent(reference, spanned)
+        # Kinesis and Storm stay quiet throughout; only storage spills.
+        assert not any(_series(reference, "AWS/Kinesis", "WriteProvisionedThroughputExceeded")[1])
+        assert not any(_series(reference, "Custom/Storm", "PendingTuples")[1])
+        spill = _first_tick(reference, "AWS/DynamoDB", "WriteThrottleEvents")
+        assert spill % 60, "the spill must land inside a sub-span"
+        # The scalar reference starts on the tick after the flush.
+        assert calls[0][0] == spill
+
+    def test_reads_over_the_read_cap_end_the_prefix(self, monkeypatch):
+        def build():
+            return self._flow("cut-reads").reads(
+                StepRate(base=20, level=400, at=330), read_units=100
+            )
+
+        calls = _count_scalar_calls(monkeypatch)
+        reference, spanned = run_pair(build, 900)
+        assert_equivalent(reference, spanned)
+        over = _first_tick(reference, "AWS/DynamoDB", "ConsumedReadCapacityUnits", above=100)
+        assert over % 60, "the surge must start inside a sub-span"
+        # The first over-cap tick is the scalar reference's first tick.
+        assert calls[0][0] == over - 1
+        # The surge outlasts the read burst bucket, so reads throttle.
+        assert any(_series(reference, "AWS/DynamoDB", "ReadThrottleEvents")[1])
+
+    def test_reads_within_the_cap_stay_on_the_vector_path(self, monkeypatch):
+        def build():
+            return self._flow("quiet-reads").reads(
+                SinusoidalRate(mean=30, amplitude=10, period=300), read_units=100
+            )
+
+        calls = _count_scalar_calls(monkeypatch)
+        reference, spanned = run_pair(build, 900)
+        assert_equivalent(reference, spanned)
+        assert sum(_series(reference, "AWS/DynamoDB", "ConsumedReadCapacityUnits")[1]) > 0
+        assert calls == []
