@@ -15,9 +15,10 @@ exact ones:
 * **single-flow span throughput at 16x horizon** — exact vs fast,
   interleaved best-of-2 so machine noise hits both paths equally; the
   fast path must clear 3x exact (the PR's acceptance gate);
-* **parallel fleet sweep scaling** — a 4-case fast-path fleet sweep at
-  jobs=1/2/4 on the pinned forkserver/spawn pool. Byte-identity of the
-  gateable fields across jobs counts is asserted unconditionally;
+* **parallel fleet sweep scaling** — four fast-path copies of the
+  catalog's ``fleet`` scenario on the catalog runner at jobs=1/2/4 (the
+  pinned forkserver/spawn pool). Byte-identity of the wall-clock-free
+  cards across jobs counts is asserted unconditionally;
   wall-clock scaling is recorded alongside ``cpu_count`` and only
   *asserted* where the machine has the cores to show it (CI runners
   and the reference box are often 1-2 cores, where the pool's only job
@@ -35,15 +36,13 @@ import time
 from benchmarks.test_bench_e2e_tick_throughput import BASE_HORIZON, SEED
 from benchmarks.test_bench_span_throughput import CEILING_TICKS_PER_SEC
 
-from repro import FleetScenarioSpec, FlowBuilder, sweep_fleet_scenarios
+from repro import FlowBuilder
+from repro.analysis import derive_scenario_seed
 from repro.cloud import MetricAlarm
 from repro.cloud.dynamodb import NAMESPACE as DDB_NS
 from repro.cloud.kinesis import NAMESPACE as KINESIS_NS
-from repro.cloud.region import RegionLimits
-from repro.cloud.storm import NAMESPACE as STORM_NS, StormConfig
-from repro.core.config import LayerControlConfig, default_adaptive_controller
-from repro.core.fleet import FleetFlowSpec
-from repro.core.flow import LayerKind
+from repro.cloud.storm import NAMESPACE as STORM_NS
+from repro.scenarios import run_catalog, scenario_at
 from repro.workload import SinusoidalRate
 
 
@@ -87,54 +86,14 @@ def best_of(runs: int, scale: int, exact: bool, base_horizon: int = BASE_HORIZON
 
 
 def fleet_cases(n_cases: int, duration: int):
-    flows = tuple(
-        FleetFlowSpec(
-            name=f"flow{i}",
-            workload=SinusoidalRate(
-                mean=1800.0 + 400.0 * i,
-                amplitude=1400.0,
-                period=duration,
-                phase=duration // 4,
-            ),
-            controls={
-                kind: LayerControlConfig(
-                    controller=default_adaptive_controller(kind), period=60
-                )
-                for kind in LayerKind
-            },
-            storm=StormConfig(records_per_vm_per_second=800),
-        )
-        for i in range(3)
-    )
-    limits = RegionLimits(
-        max_instances=10,
-        max_total_shards=12,
-        max_total_write_units=2400,
-        contention_threshold=0.7,
-        contention_slope=0.3,
-    )
+    """Renamed fast-path copies of the catalog's 3-flow fleet scenario."""
+    template = scenario_at("fleet", duration)
     return [
-        FleetScenarioSpec(
-            name=f"fastbench-fleet{i}",
-            flows=flows,
-            limits=limits,
-            duration=duration,
-            exact=False,
+        dataclasses.replace(
+            template, name=name, seed=derive_scenario_seed(11, name), exact=False
         )
-        for i in range(n_cases)
+        for name in (f"fastbench-fleet{i}" for i in range(n_cases))
     ]
-
-
-def strip_wall(card):
-    """Drop the informational wall-clock fields before byte comparison."""
-    return dataclasses.replace(
-        card,
-        wall_seconds=0.0,
-        flows={
-            name: dataclasses.replace(flow, wall_seconds=0.0, ticks_per_second=0.0)
-            for name, flow in card.flows.items()
-        },
-    )
 
 
 def sweep_scaling(n_cases: int, duration: int, jobs_grid=(1, 2, 4)):
@@ -144,13 +103,13 @@ def sweep_scaling(n_cases: int, duration: int, jobs_grid=(1, 2, 4)):
     reference = None
     for jobs in jobs_grid:
         started = time.perf_counter()
-        cards = sweep_fleet_scenarios(fleet_cases(n_cases, duration), base_seed=11, jobs=jobs)
+        matrix = run_catalog(fleet_cases(n_cases, duration), jobs=jobs)
         timings[jobs] = time.perf_counter() - started
-        stripped = {name: pickle.dumps(strip_wall(card)) for name, card in cards.items()}
+        cards = {name: pickle.dumps(entry.card) for name, entry in matrix.entries.items()}
         if reference is None:
-            reference = stripped
+            reference = cards
         else:
-            assert stripped == reference, (
+            assert cards == reference, (
                 f"fleet sweep at jobs={jobs} diverged from the serial sweep"
             )
     return timings

@@ -29,7 +29,6 @@ from repro.core import (
     DEFAULT_REFERENCE,
     FleetFlowSpec,
     FleetRunResult,
-    FleetScenarioSpec,
     FlowBuilder,
     FlowElasticityManager,
     FlowRunResult,
@@ -42,8 +41,6 @@ from repro.core import (
     ServiceCapacities,
     clickstream_flow_spec,
     make_controller,
-    run_fleet_scenario,
-    sweep_fleet_scenarios,
 )
 from repro.observability import FlightRecorder
 
@@ -62,9 +59,6 @@ __all__ = [
     "FleetFlowSpec",
     "RegionFleetManager",
     "FleetRunResult",
-    "FleetScenarioSpec",
-    "run_fleet_scenario",
-    "sweep_fleet_scenarios",
     "LayerControlConfig",
     "make_controller",
     "DEFAULT_REFERENCE",

@@ -17,17 +17,11 @@ from repro.analysis.metrics import (
 from repro.analysis.report import ComparisonReport
 from repro.analysis.runner import (
     RunnerError,
-    Scenario,
+    SweepCase,
     derive_scenario_seed,
     run_scenarios,
-    run_scenarios_dict,
 )
-from repro.analysis.scorecard import (
-    SMOKE_SCENARIOS,
-    FleetScorecard,
-    RunScorecard,
-    run_smoke_scenario,
-)
+from repro.analysis.scorecard import FleetScorecard, RunScorecard
 from repro.analysis.store import load_run_summary, load_run_traces, save_run
 from repro.analysis.summary import LayerSummary, RunSummary, summarize_run
 
@@ -38,10 +32,9 @@ __all__ = [
     "integral_absolute_error",
     "resource_unit_hours",
     "ComparisonReport",
-    "Scenario",
+    "SweepCase",
     "RunnerError",
     "run_scenarios",
-    "run_scenarios_dict",
     "derive_scenario_seed",
     "RunSummary",
     "LayerSummary",
@@ -51,6 +44,4 @@ __all__ = [
     "load_run_summary",
     "RunScorecard",
     "FleetScorecard",
-    "SMOKE_SCENARIOS",
-    "run_smoke_scenario",
 ]

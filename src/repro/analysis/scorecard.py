@@ -7,19 +7,22 @@ worse?": per-layer SLO violation rates, cost, per-fault recovery time
 closure, and throughput. Everything except the wall-clock fields is
 deterministic for a given seed, so scorecards can be committed as
 baselines and diffed — tight tolerances, both directions — by the
-``repro scorecard --check`` CI gate.
+``repro scenario run --check`` catalog gate. Loading a card is strict:
+a missing or unknown key raises :class:`ConfigurationError` naming it,
+so a hand-edited baseline can never drop a field out of the gate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from repro.analysis.metrics import slo_violation_rate
 from repro.chaos.mttr import recovery_times
-from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
 from repro.control.actuators import RetryingActuator
 from repro.control.bounded import BoundedActuator
 from repro.core.errors import ConfigurationError
@@ -30,6 +33,20 @@ from repro.core.flow import LayerKind
 WALL_CLOCK_FIELDS = frozenset(
     {"wall_seconds", "ticks_per_second", "flow_wall_seconds"}
 )
+
+
+def require_keys(what: str, data, expected: Iterable[str]) -> None:
+    """Reject ``data`` unless its keys are exactly ``expected``, naming
+    the first missing or unknown key."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"{what}: must be a mapping, got {data!r}")
+    expected = list(expected)
+    missing = [key for key in expected if key not in data]
+    if missing:
+        raise ConfigurationError(f"{what}: missing field {missing[0]!r}")
+    unknown = sorted(set(data) - set(expected))
+    if unknown:
+        raise ConfigurationError(f"{what}: unknown field {unknown[0]!r}")
 
 
 def _unwrap(actuator):
@@ -195,35 +212,34 @@ class RunScorecard:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunScorecard":
+    def from_dict(cls, data: Mapping) -> "RunScorecard":
+        require_keys("scorecard", data, (f.name for f in dataclasses.fields(cls)))
         return cls(
             name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
+            seed=int(data["seed"]),
             duration_seconds=int(data["duration_seconds"]),
             slo_violation_pct={
-                str(k): float(v) for k, v in data.get("slo_violation_pct", {}).items()
+                str(k): float(v) for k, v in data["slo_violation_pct"].items()
             },
-            cost_by_layer={
-                str(k): float(v) for k, v in data.get("cost_by_layer", {}).items()
-            },
-            total_cost=float(data.get("total_cost", 0.0)),
+            cost_by_layer={str(k): float(v) for k, v in data["cost_by_layer"].items()},
+            total_cost=float(data["total_cost"]),
             mttr_by_fault={
                 str(k): (None if v is None else float(v))
-                for k, v in data.get("mttr_by_fault", {}).items()
+                for k, v in data["mttr_by_fault"].items()
             },
-            actuations={str(k): int(v) for k, v in data.get("actuations", {}).items()},
-            clamps={str(k): int(v) for k, v in data.get("clamps", {}).items()},
-            decisions={str(k): int(v) for k, v in data.get("decisions", {}).items()},
-            retry_attempts=int(data.get("retry_attempts", 0)),
-            breaker_openings=int(data.get("breaker_openings", 0)),
-            causal_chains=int(data.get("causal_chains", 0)),
-            causal_chains_closed=int(data.get("causal_chains_closed", 0)),
-            dropped_records=int(data.get("dropped_records", 0)),
-            dropped_writes=int(data.get("dropped_writes", 0)),
-            invariants_ok=bool(data.get("invariants_ok", True)),
-            exact=bool(data.get("exact", True)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            ticks_per_second=float(data.get("ticks_per_second", 0.0)),
+            actuations={str(k): int(v) for k, v in data["actuations"].items()},
+            clamps={str(k): int(v) for k, v in data["clamps"].items()},
+            decisions={str(k): int(v) for k, v in data["decisions"].items()},
+            retry_attempts=int(data["retry_attempts"]),
+            breaker_openings=int(data["breaker_openings"]),
+            causal_chains=int(data["causal_chains"]),
+            causal_chains_closed=int(data["causal_chains_closed"]),
+            dropped_records=int(data["dropped_records"]),
+            dropped_writes=int(data["dropped_writes"]),
+            invariants_ok=bool(data["invariants_ok"]),
+            exact=bool(data["exact"]),
+            wall_seconds=float(data["wall_seconds"]),
+            ticks_per_second=float(data["ticks_per_second"]),
         )
 
     @classmethod
@@ -242,8 +258,7 @@ class RunScorecard:
         got cheaper or faster-settling without the baseline being
         regenerated is just as suspicious as one that regressed.
         The union of both cards' keys is walked, so a field present on
-        only one side (schema additions, hand-edited baselines) is
-        drift, not silence. Wall-clock fields
+        only one side (a schema addition) is drift, not silence. Wall-clock fields
         (:data:`WALL_CLOCK_FIELDS`) are skipped.
 
         Raises :class:`ConfigurationError` when the cards' workload
@@ -346,8 +361,8 @@ class FleetScorecard:
     One :class:`RunScorecard` per flow plus the fleet-level numbers a
     single flow cannot see: region admission denials, coordinator
     activity, and the summed cost. Duck-types the single-run card's
-    gate surface (``summary`` / ``compare`` / ``to_json`` /
-    ``from_json_file``) so the CLI gate treats both uniformly.
+    gate surface (``summary`` / ``compare`` / ``to_dict`` /
+    ``without_wall_clock``) so a catalog matrix holds both kinds.
     """
 
     name: str
@@ -369,7 +384,9 @@ class FleetScorecard:
     flow_wall_seconds: dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def from_fleet_result(cls, name: str, result, *, seed: int = 0) -> "FleetScorecard":
+    def from_fleet_result(
+        cls, name: str, result, *, slo_band: float = 85.0, seed: int = 0
+    ) -> "FleetScorecard":
         """Condense a :class:`~repro.core.fleet.FleetRunResult`."""
         coordinator = result.coordinator
         return cls(
@@ -377,7 +394,9 @@ class FleetScorecard:
             seed=seed,
             duration_seconds=result.duration_seconds,
             flows={
-                flow_id: RunScorecard.from_result(flow_id, flow_result, seed=seed)
+                flow_id: RunScorecard.from_result(
+                    flow_id, flow_result, slo_band=slo_band, seed=seed
+                )
                 for flow_id, flow_result in result.flows.items()
             },
             total_cost=round(result.total_cost, 9),
@@ -392,6 +411,16 @@ class FleetScorecard:
                     getattr(result, "flow_wall_seconds", {}).items()
                 )
             },
+        )
+
+    def without_wall_clock(self) -> "FleetScorecard":
+        """A copy with every machine-dependent field zeroed, per flow
+        too (see :meth:`RunScorecard.without_wall_clock`)."""
+        return dataclasses.replace(
+            self,
+            wall_seconds=0.0,
+            flow_wall_seconds={},
+            flows={flow_id: card.without_wall_clock() for flow_id, card in self.flows.items()},
         )
 
     # ------------------------------------------------------------------
@@ -422,27 +451,35 @@ class FleetScorecard:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FleetScorecard":
+    def from_dict(cls, data: Mapping) -> "FleetScorecard":
+        require_keys(
+            "fleet scorecard", data,
+            ["kind", *(f.name for f in dataclasses.fields(cls))],
+        )
+        if data["kind"] != "fleet":
+            raise ConfigurationError(
+                f"fleet scorecard: kind must be 'fleet', got {data['kind']!r}"
+            )
         return cls(
             name=str(data["name"]),
-            seed=int(data.get("seed", 0)),
+            seed=int(data["seed"]),
             duration_seconds=int(data["duration_seconds"]),
             flows={
                 str(flow_id): RunScorecard.from_dict(card)
-                for flow_id, card in data.get("flows", {}).items()
+                for flow_id, card in data["flows"].items()
             },
-            total_cost=float(data.get("total_cost", 0.0)),
+            total_cost=float(data["total_cost"]),
             denials={
                 str(flow_id): {str(k): int(v) for k, v in counts.items()}
-                for flow_id, counts in data.get("denials", {}).items()
+                for flow_id, counts in data["denials"].items()
             },
-            coordinator_passes=int(data.get("coordinator_passes", 0)),
-            cap_retargets=int(data.get("cap_retargets", 0)),
-            exact=bool(data.get("exact", True)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
+            coordinator_passes=int(data["coordinator_passes"]),
+            cap_retargets=int(data["cap_retargets"]),
+            exact=bool(data["exact"]),
+            wall_seconds=float(data["wall_seconds"]),
             flow_wall_seconds={
                 str(flow_id): float(seconds)
-                for flow_id, seconds in data.get("flow_wall_seconds", {}).items()
+                for flow_id, seconds in data["flow_wall_seconds"].items()
             },
         )
 
@@ -518,139 +555,3 @@ class FleetScorecard:
                 f"{wall}"
             )
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Smoke scenarios (the CI gate's workloads)
-# ----------------------------------------------------------------------
-
-#: Simulated duration of each smoke scenario (short enough for CI).
-SMOKE_DURATION = 2 * 3600
-SMOKE_SEED = 7
-
-#: Scenario names -> builder; see :func:`run_smoke_scenario`.
-SMOKE_SCENARIOS = ("steady", "chaos", "fleet")
-
-
-def _smoke_chaos(duration: int, seed: int) -> ChaosSchedule:
-    """One fault per elastic layer, scheduled into the workload's
-    high-load phase so every fault produces an observable symptom (a
-    throttle episode or a forced rebalance) and hence a closeable
-    causal chain — the chain-closure count in the scorecard is a real
-    gate, not vacuously open. Worker-crash closure needs a
-    fixed-parallelism topology (only topology runs publish crash
-    rebalances) and is exercised by the tracing test suite instead.
-    """
-    return ChaosSchedule(
-        faults=(
-            FaultSpec(FaultKind.SHARD_BROWNOUT, start=3 * duration // 8,
-                      duration=duration // 12, intensity=0.7),
-            FaultSpec(FaultKind.REBALANCE_FAIL, start=duration // 2,
-                      duration=duration // 24),
-            FaultSpec(FaultKind.THROTTLE_STORM, start=2 * duration // 3,
-                      duration=duration // 12, intensity=0.9),
-        ),
-        seed=seed,
-        name="scorecard-smoke",
-    )
-
-
-def run_fleet_smoke(
-    *, seed: int = SMOKE_SEED, duration: int = SMOKE_DURATION
-) -> FleetScorecard:
-    """The fleet smoke scenario: 3 flows squeezed into one region.
-
-    Three sinusoidal flows (staggered means) share an account sized so
-    the pool is genuinely contended at peak: the flows start with
-    overcommitted share bounds (each believes it may claim most of the
-    account), so region admission denials surface early, and the
-    coordinator then arbitrates the bounds down to a feasible split —
-    the scorecard gates both mechanisms plus every flow's own health.
-    """
-    from repro.cloud.region import RegionLimits
-    from repro.cloud.storm import StormConfig
-    from repro.core.config import LayerControlConfig, default_adaptive_controller
-    from repro.core.fleet import FleetFlowSpec, FleetScenarioSpec, run_fleet_scenario
-    from repro.workload.generators import SinusoidalRate
-
-    spec = FleetScenarioSpec(
-        name="fleet",
-        flows=tuple(
-            FleetFlowSpec(
-                name=f"flow{i}",
-                workload=SinusoidalRate(
-                    mean=1800.0 + 400.0 * i,
-                    amplitude=1400.0,
-                    period=duration,
-                    phase=duration // 4,
-                ),
-                controls={
-                    kind: LayerControlConfig(
-                        controller=default_adaptive_controller(kind), period=60
-                    )
-                    for kind in LayerKind
-                },
-                # Overcommitted intent: each flow starts believing it may
-                # take most of the account; admission denials surface until
-                # the coordinator's first pass reins the bounds in.
-                share_bounds={
-                    LayerKind.INGESTION: 8,
-                    LayerKind.ANALYTICS: 8,
-                    LayerKind.STORAGE: 1200,
-                },
-                storm=StormConfig(records_per_vm_per_second=800),
-            )
-            for i in range(3)
-        ),
-        limits=RegionLimits(
-            max_instances=10,
-            max_total_shards=12,
-            max_total_write_units=2400,
-            contention_threshold=0.7,
-            contention_slope=0.3,
-        ),
-        duration=duration,
-        coordinate_period=300,
-    )
-    return run_fleet_scenario(spec, seed)
-
-
-def run_smoke_scenario(
-    name: str, *, seed: int = SMOKE_SEED, duration: int = SMOKE_DURATION
-) -> "RunScorecard | FleetScorecard":
-    """Run one named smoke scenario and score it.
-
-    ``steady`` is a sinusoidal day on the fully-controlled flow;
-    ``chaos`` is the same flow under one fault per layer (both run with
-    the flight recorder attached so chain closure is part of the gate);
-    ``fleet`` is a 3-flow region run under shared account limits, and
-    returns a :class:`FleetScorecard`.
-    """
-    # Imported here, not at module top: repro.scenarios.spec compiles
-    # through repro.core.builder, which imports the manager, which
-    # imports analysis consumers — a cycle at import time but not at
-    # call time.
-    from repro.scenarios.spec import PatternSpec, Scenario
-
-    if name not in SMOKE_SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scorecard scenario {name!r}; one of: {', '.join(SMOKE_SCENARIOS)}"
-        )
-    if name == "fleet":
-        return run_fleet_smoke(seed=seed, duration=duration)
-    # ``phase=duration // 4`` puts the sinusoid's trough at t=0 and its
-    # peak mid-run (t=duration/2), so the flow ramps up gently and the
-    # chaos faults land on the loaded system, not an idle one. The
-    # scenario compiler's service calibration (load-bound analytics VMs,
-    # a 10-second DynamoDB burst bucket) makes each fault observable.
-    scenario = Scenario(
-        name=name,
-        workload=PatternSpec("sinusoid", {
-            "mean": 1500.0, "amplitude": 1200.0, "period": duration, "phase": duration // 4,
-        }),
-        duration=duration,
-        seed=seed,
-        chaos=_smoke_chaos(duration, seed) if name == "chaos" else None,
-    )
-    result = scenario.build_manager().run(duration)
-    return RunScorecard.from_result(name, result, seed=seed)

@@ -10,7 +10,7 @@ is the terminal version::
     python -m repro.cli pareto     # resource share analysis (Fig. 4)
     python -m repro.cli shootout   # controller comparison (Sec. 3.3)
     python -m repro.cli chaos      # fault injection + invariant audit + MTTR
-    python -m repro.cli scorecard  # run health digest + baseline regression gate
+    python -m repro.cli fleet      # several flows against one region's limits
     python -m repro.cli scenario   # scenario catalog: list / show / run / gate
 
 Every command prints deterministic output; run commands accept
@@ -35,12 +35,12 @@ from repro import (
 )
 from repro.analysis import (
     ComparisonReport,
-    Scenario,
+    SweepCase,
+    derive_scenario_seed,
     run_scenarios,
     settling_time,
     slo_violation_rate,
 )
-from repro.analysis.scorecard import SMOKE_SCENARIOS as _SMOKE_SCENARIOS
 from repro.chaos import recovery_times
 from repro.core.config import CONTROLLER_FACTORIES
 from repro.dependency import fit_linear, pearson_r
@@ -262,7 +262,7 @@ def cmd_shootout(args: argparse.Namespace) -> int:
     )
     styles = sorted(CONTROLLER_FACTORIES)
     scenarios = [
-        Scenario(
+        SweepCase(
             name=style,
             fn=_shootout_style,
             kwargs=dict(
@@ -357,79 +357,50 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Run N flows against one region and show the arbitration story."""
-    from repro.cloud.region import RegionLimits
-    from repro.cloud.storm import StormConfig
-    from repro.core.config import LayerControlConfig, default_adaptive_controller
-    from repro.core.fleet import (
-        FleetFlowSpec,
-        FleetScenarioSpec,
-        RegionFleetManager,
-        sweep_fleet_scenarios,
-    )
+    """Run N flows against one region and show the arbitration story.
 
-    def controls():
-        return {
-            kind: LayerControlConfig(
-                controller=default_adaptive_controller(kind, reference=args.reference),
-                period=60,
-            )
-            for kind in LayerKind
-        }
+    The flags compile into one fleet :class:`~repro.scenarios.Scenario`:
+    the catalog's ``fleet`` entry at ``--duration`` with the flow count,
+    seed, reference, account limits and coordinator period overridden.
+    """
+    import dataclasses
 
-    flows = [
-        FleetFlowSpec(
-            name=f"flow{i}",
-            workload=SinusoidalRate(
-                mean=1500.0 + 400.0 * i,
-                amplitude=1200.0,
-                period=args.duration,
-                phase=args.duration // 4,
+    from repro.scenarios import FleetSection, run_catalog, scenario_at
+
+    template = scenario_at("fleet", args.duration)
+    scenario = dataclasses.replace(
+        template,
+        seed=args.seed,
+        reference=args.reference,
+        exact=not args.fast,
+        fleet=FleetSection(
+            flows=args.flows,
+            limits=dataclasses.replace(
+                template.fleet.limits,
+                max_instances=args.max_instances,
+                max_total_shards=args.max_shards,
+                max_total_write_units=args.max_write_units,
             ),
-            controls=controls(),
-            storm=StormConfig(records_per_vm_per_second=800),
-        )
-        for i in range(args.flows)
-    ]
-    limits = RegionLimits(
-        max_instances=args.max_instances,
-        max_total_shards=args.max_shards,
-        max_total_write_units=args.max_write_units,
-        contention_threshold=0.7,
-        contention_slope=0.3,
+            coordinate_period=None if args.no_coordinator else args.coordinate_period,
+        ),
     )
     _fast_banner(not args.fast)
     if args.sweep > 1:
-        # Process-parallel policy sweep: the same region squeeze as
-        # independent scenario cases (name-derived seeds), fanned over
-        # the runner's pinned-context pool.
-        spec_cases = [
-            FleetScenarioSpec(
-                name=f"fleet-case{i}",
-                flows=tuple(flows),
-                limits=limits,
-                duration=args.duration,
-                coordinate_period=(
-                    None if args.no_coordinator else args.coordinate_period
-                ),
-                exact=not args.fast,
+        # Process-parallel policy sweep: renamed copies of the same
+        # region squeeze with name-derived seeds, on the catalog runner.
+        cases = [
+            dataclasses.replace(
+                scenario, name=name, seed=derive_scenario_seed(args.seed, name)
             )
-            for i in range(args.sweep)
+            for name in (f"fleet-case{i}" for i in range(args.sweep))
         ]
-        cards = sweep_fleet_scenarios(spec_cases, base_seed=args.seed, jobs=args.jobs)
-        for card in cards.values():
-            print(card.summary())
+        matrix = run_catalog(cases, jobs=args.jobs)
+        for entry in matrix.entries.values():
+            print(entry.card.summary())
             print()
-        print(f"{len(cards)} fleet cases swept with jobs={args.jobs}")
+        print(f"{len(cases)} fleet cases swept with jobs={args.jobs}")
         return 0
-    fleet = RegionFleetManager(
-        flows,
-        limits=limits,
-        seed=args.seed,
-        coordinate_period=None if args.no_coordinator else args.coordinate_period,
-        exact=not args.fast,
-    )
-    result = fleet.run(args.duration)
+    result = scenario.build_manager().run(scenario.duration)
     print(result.summary())
     if result.coordinator is not None and result.coordinator.records:
         print("\nanalytics cap trajectory (coordinator grants per flow):")
@@ -458,73 +429,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scorecard(args: argparse.Namespace) -> int:
-    from repro.analysis.scorecard import SMOKE_SCENARIOS, run_smoke_scenario
-
-    if (
-        args.check
-        and args.out
-        and Path(args.out).resolve() == Path(args.baseline_dir).resolve()
-    ):
-        raise SystemExit(
-            f"--out and --baseline-dir both resolve to {Path(args.out).resolve()}; "
-            "the gate would overwrite the committed baselines with the very "
-            "cards it is checking and compare each card against itself. "
-            "Write artifacts elsewhere (e.g. --out artifacts), or regenerate "
-            "baselines deliberately with --out and no --check."
-        )
-
-    names = args.scenario or list(SMOKE_SCENARIOS)
-    failures: list[str] = []
-    for name in names:
-        card = run_smoke_scenario(name, seed=args.seed, duration=args.duration)
-        print(card.summary())
-        # Gate before writing: the baseline is read before --out touches
-        # the filesystem, so a card can never be compared against itself.
-        if args.check:
-            baseline_path = Path(args.baseline_dir) / f"SCORECARD_{name}_smoke.json"
-            if not baseline_path.exists():
-                failures.append(f"{name}: no committed baseline at {baseline_path}")
-                print(f"  gate            MISSING BASELINE ({baseline_path})")
-            else:
-                # Class dispatch: a fleet scenario's card must be
-                # compared against a fleet baseline, not coerced into a
-                # single-run one.
-                drifts = card.compare(card.__class__.from_json_file(baseline_path))
-                if drifts:
-                    failures.append(f"{name}: {len(drifts)} drifted fields")
-                    print(f"  gate            DRIFT vs {baseline_path}:")
-                    for drift in drifts:
-                        print(f"    {drift}")
-                else:
-                    print(f"  gate            ok (matches {baseline_path})")
-        if args.out:
-            out_path = Path(args.out) / f"SCORECARD_{name}_smoke.json"
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(card.to_json())
-            print(f"  written         {out_path}")
-        print()
-    if failures:
-        print("scorecard gate FAILED: " + "; ".join(failures))
-        print(
-            "if the change is intentional, regenerate baselines with: "
-            f"python -m repro.cli scorecard --out {args.baseline_dir}"
-        )
-        return 1
-    return 0
-
-
 def cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios import (
-        CATALOG_NAMES,
         CatalogMatrix,
-        catalog,
         catalog_scenario,
+        gate_catalog,
         run_catalog,
     )
 
     if args.action == "list":
-        scenarios = catalog(args.variant)
+        scenarios = gate_catalog(args.variant)
         print(f"scenario catalog [{args.variant}] — {len(scenarios)} scenarios")
         for name, scenario in scenarios.items():
             faults = len(scenario.chaos.faults) if scenario.chaos else 0
@@ -532,8 +446,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
                 f"${scenario.budget_usd_per_hour:.2f}/h"
                 if scenario.budget_usd_per_hour is not None else "none"
             )
+            flows = f"  flows={scenario.fleet.flows}" if scenario.fleet else ""
             print(f"  {name:<28} {scenario.controller:<9} "
-                  f"{scenario.duration:>7}s  faults={faults}  budget={budget}")
+                  f"{scenario.duration:>7}s  faults={faults}  budget={budget}{flows}")
             print(f"    {scenario.description}")
         return 0
 
@@ -554,13 +469,13 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             "artifacts elsewhere (e.g. --out artifacts/SCORECARD_catalog.json), "
             "or regenerate the baseline deliberately with --out and no --check."
         )
-    scenarios = catalog(args.variant)
+    scenarios = gate_catalog(args.variant)
     if args.name:
         unknown = sorted(set(args.name) - set(scenarios))
         if unknown:
             raise SystemExit(
                 f"unknown catalog scenario {unknown[0]!r}; one of: "
-                + ", ".join(CATALOG_NAMES)
+                + ", ".join(scenarios)
             )
         scenarios = {name: scenarios[name] for name in args.name}
     _fast_banner(not args.fast)
@@ -569,8 +484,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     )
     print(matrix.summary())
     failures: list[str] = []
-    # Gate before writing, mirroring the scorecard command: the
-    # baseline is read before --out touches the filesystem.
+    # Gate before writing: the baseline is read before --out touches the
+    # filesystem, so a matrix can never be compared against itself.
     if args.check:
         if not baseline_path.exists():
             failures.append(f"no committed baseline at {baseline_path}")
@@ -716,26 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable arbitration; region admission alone "
                             "polices the limits")
     fleet.set_defaults(func=cmd_fleet)
-
-    scorecard = sub.add_parser(
-        "scorecard",
-        help="run the smoke scenarios, print their scorecards, and "
-             "optionally gate against committed baselines",
-    )
-    scorecard.add_argument("--scenario", action="append",
-                           choices=list(_SMOKE_SCENARIOS),
-                           help="run only this scenario (repeatable; default: all)")
-    scorecard.add_argument("--seed", type=int, default=7)
-    scorecard.add_argument("--duration", type=_positive_int, default=2 * 3600,
-                           help="simulated seconds per scenario")
-    scorecard.add_argument("--out", default=None, metavar="DIR",
-                           help="write SCORECARD_<scenario>_smoke.json files here")
-    scorecard.add_argument("--check", action="store_true",
-                           help="fail (exit 1) if any deterministic field drifts "
-                                "from the committed baseline")
-    scorecard.add_argument("--baseline-dir", default="results", metavar="DIR",
-                           help="where committed baselines live (default: results)")
-    scorecard.set_defaults(func=cmd_scorecard)
 
     scenario = sub.add_parser(
         "scenario",

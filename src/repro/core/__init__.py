@@ -24,10 +24,7 @@ from repro.core.fleet import (
     FleetCoordinator,
     FleetFlowSpec,
     FleetRunResult,
-    FleetScenarioSpec,
     RegionFleetManager,
-    run_fleet_scenario,
-    sweep_fleet_scenarios,
 )
 from repro.core.flow import FlowSpec, LayerKind, LayerSpec, clickstream_flow_spec
 from repro.core.manager import (
@@ -60,9 +57,6 @@ __all__ = [
     "CoordinationRecord",
     "RegionFleetManager",
     "FleetRunResult",
-    "FleetScenarioSpec",
-    "run_fleet_scenario",
-    "sweep_fleet_scenarios",
     "OptimizationError",
     "RegressionError",
     "ControlError",

@@ -22,16 +22,19 @@ data path, so span and per-tick execution stay bit-identical per flow
 (the executor splits each flow at its own capacity events); per-flow
 seeds are derived from the fleet seed and the flow *name*, so adding or
 reordering flows does not reshuffle the others' randomness; and a fleet
-run is a plain function of its arguments, so ``analysis/runner.py``
-parallelizes whole fleet scenarios across processes with
-byte-identical results.
+run is a plain function of its arguments, so the scenario runner
+(:func:`~repro.scenarios.runner.run_catalog`) parallelizes whole fleet
+scenarios across processes with byte-identical results.
+
+Admission starts clean: a fleet whose flows' summed initial capacities
+exceed any account limit is rejected at construction, naming the
+resource, the sum and the limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Sequence
 
 from repro.analysis.runner import derive_scenario_seed
 from repro.chaos.injector import ChaosInjector
@@ -344,6 +347,20 @@ class RegionFleetManager:
                         f"instance for {kind.name}; controllers are stateful — "
                         "build one per flow"
                     )
+        limits = limits or RegionLimits()
+        initial = [spec.capacities or ServiceCapacities() for spec in flows]
+        for resource, capacity, limit in (
+            ("instances", "vms", limits.max_instances),
+            ("shards", "shards", limits.max_total_shards),
+            ("write_units", "write_units", limits.max_total_write_units),
+            ("read_units", "read_units", limits.max_total_read_units),
+        ):
+            total = sum(getattr(capacities, capacity) for capacities in initial)
+            if total > limit:
+                raise ConfigurationError(
+                    f"fleet starts over its account limits: initial {resource} "
+                    f"sum to {total} across {len(flows)} flows, limit {limit}"
+                )
         self.seed = seed
         #: Workload-path exactness, applied to every flow uniformly (a
         #: fleet mixing exact and fast flows would produce a result
@@ -461,93 +478,3 @@ class RegionFleetManager:
             ),
         )
 
-
-# ----------------------------------------------------------------------
-# Process-parallel fleet sweeps
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetScenarioSpec:
-    """One picklable fleet-sweep case: a whole region fleet run.
-
-    Everything :func:`run_fleet_scenario` needs to build and run a
-    :class:`RegionFleetManager` and score it. The spec must stay
-    picklable (its flows, chaos schedules and controllers are), because
-    :func:`sweep_fleet_scenarios` ships specs to worker processes.
-    """
-
-    name: str
-    flows: tuple[FleetFlowSpec, ...]
-    limits: RegionLimits | None = None
-    duration: int = 7200
-    tick_seconds: int = 1
-    snapshot_period: int = 60
-    span_execution: bool = True
-    coordinate_period: int | None = 300
-    pressure_gain: float = 2.0
-    exact: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("fleet scenario name must be non-empty")
-        if self.duration <= 0:
-            raise ConfigurationError("fleet scenario duration must be positive")
-        # Tuples keep the frozen spec hashable-by-structure and stop
-        # callers mutating a shared flow list between sweep cases.
-        object.__setattr__(self, "flows", tuple(self.flows))
-
-
-def run_fleet_scenario(spec: FleetScenarioSpec, seed: int):
-    """Run one fleet scenario; return its pickle-stable scorecard.
-
-    Module-level on purpose: sweep workers pickle this function by
-    reference. The spec is deep-copied before the fleet is built, so
-    in-process (``jobs=1``) execution gets the same fresh controller
-    and chaos state a worker gets from pickling — without the copy, a
-    serial sweep would mutate the caller's controllers and diverge
-    from the parallel run on the second use of a spec.
-    """
-    from copy import deepcopy
-
-    from repro.analysis.scorecard import FleetScorecard
-
-    spec = deepcopy(spec)
-    fleet = RegionFleetManager(
-        list(spec.flows),
-        limits=spec.limits,
-        seed=seed,
-        tick_seconds=spec.tick_seconds,
-        snapshot_period=spec.snapshot_period,
-        span_execution=spec.span_execution,
-        coordinate_period=spec.coordinate_period,
-        pressure_gain=spec.pressure_gain,
-        exact=spec.exact,
-    )
-    result = fleet.run(spec.duration)
-    return FleetScorecard.from_fleet_result(spec.name, result, seed=seed)
-
-
-def sweep_fleet_scenarios(
-    specs: "Sequence[FleetScenarioSpec]", base_seed: int = 0, jobs: int = 1
-):
-    """Run many fleet scenarios, optionally across worker processes.
-
-    The process-parallel counterpart of :meth:`RegionFleetManager.run`
-    for policy sweeps: each scenario is a whole fleet run with a seed
-    derived from ``base_seed`` and the scenario *name* (the scenario
-    runner's contract), fanned over the runner's pinned-context pool.
-    Returns ``{name: FleetScorecard}`` in submission order; any
-    ``jobs`` value yields byte-identical scorecards.
-    """
-    from repro.analysis.runner import Scenario, run_scenarios_dict
-
-    scenarios = [
-        Scenario(
-            name=spec.name,
-            fn=run_fleet_scenario,
-            kwargs=dict(spec=spec, seed=derive_scenario_seed(base_seed, spec.name)),
-        )
-        for spec in specs
-    ]
-    return run_scenarios_dict(scenarios, jobs=jobs)

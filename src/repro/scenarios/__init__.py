@@ -1,14 +1,17 @@
 """Declarative scenarios: the DSL, the curated catalog, and the gate.
 
 A :class:`Scenario` declares one evaluation case — workload pattern ×
-chaos schedule × SLO targets × budget × controller style × exactness —
+chaos schedule × SLO targets × budget × controller style × exactness,
+optionally run as a multi-flow region fleet (:class:`FleetSection`) —
 as validated pure data with lossless JSON round-trips, the way the
 chaos DSL declares faults. :mod:`repro.scenarios.catalog` curates nine
-named scenarios; :func:`run_catalog` runs any set of them on the
+named exam scenarios plus three gate entries (``steady``, ``chaos``,
+``fleet``); :func:`run_catalog` runs any set of them on the
 deterministic parallel runner and folds the per-scenario scorecards
 into a :class:`CatalogMatrix`, whose committed serialisation
-(``results/SCORECARD_catalog.json``) the CI ``catalog-gate`` job diffs
-on every change. External traces enter through the ``trace`` pattern
+(``results/SCORECARD_catalog.json``, all twelve entries) the CI
+``catalog-gate`` job — the repository's one scorecard gate — diffs on
+every change. External traces enter through the ``trace`` pattern
 kind, replayed bit-exactly by
 :class:`~repro.workload.generators.TracePattern`.
 """
@@ -16,9 +19,12 @@ kind, replayed bit-exactly by
 from repro.scenarios.catalog import (
     CATALOG_NAMES,
     CATALOG_SEED,
+    GATE_NAMES,
     VARIANT_DURATIONS,
     catalog,
     catalog_scenario,
+    gate_catalog,
+    scenario_at,
 )
 from repro.scenarios.runner import (
     CatalogEntry,
@@ -26,17 +32,21 @@ from repro.scenarios.runner import (
     run_catalog,
     run_scenario,
 )
-from repro.scenarios.spec import PatternSpec, Scenario, SLOTargets
+from repro.scenarios.spec import FleetSection, PatternSpec, Scenario, SLOTargets
 
 __all__ = [
+    "FleetSection",
     "PatternSpec",
     "Scenario",
     "SLOTargets",
     "CATALOG_NAMES",
     "CATALOG_SEED",
+    "GATE_NAMES",
     "VARIANT_DURATIONS",
     "catalog",
     "catalog_scenario",
+    "gate_catalog",
+    "scenario_at",
     "CatalogEntry",
     "CatalogMatrix",
     "run_catalog",

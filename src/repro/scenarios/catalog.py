@@ -1,24 +1,27 @@
-"""The curated scenario catalog: the manager's standing exam.
+"""The curated scenario catalog: the manager's standing exam and its gate.
 
-Nine named scenarios crossing workload shape × fault schedule × SLO ×
-budget × controller style, each defined relative to its horizon so the
-same scenario exists in two variants: ``smoke`` (2 simulated hours —
-the CI ``catalog-gate`` workload) and ``full`` (a day or more — the
-offline evaluation). Fault windows and workload landmarks are fractions
-of the horizon, so both variants exercise the same story at different
-scales.
+Nine named exam scenarios cross workload shape × fault schedule × SLO ×
+budget × controller style; three gate entries (``steady``, ``chaos``,
+``fleet``) add a quiet day, one fault per layer, and a three-flow region
+squeeze. Each is defined relative to its horizon so the same scenario
+exists in two variants: ``smoke`` (2 simulated hours — the CI
+``catalog-gate`` workload) and ``full`` (a day or more — the offline
+evaluation). Fault windows and workload landmarks are fractions of the
+horizon, so both variants exercise the same story at different scales.
 
-Every scenario is pure data (:class:`~repro.scenarios.spec.Scenario`);
-the committed per-scenario scorecard matrix in
-``results/SCORECARD_catalog.json`` pins the smoke variant's numbers as
-a regression gate.
+:func:`catalog` returns the nine exam scenarios; :func:`gate_catalog`
+returns all twelve, which ``repro scenario list|show|run`` and the
+committed per-scenario scorecard matrix in
+``results/SCORECARD_catalog.json`` use. Every entry is pure data
+(:class:`~repro.scenarios.spec.Scenario`).
 """
 
 from __future__ import annotations
 
 from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
+from repro.cloud.region import RegionLimits
 from repro.core.errors import ConfigurationError
-from repro.scenarios.spec import PatternSpec, Scenario, SLOTargets
+from repro.scenarios.spec import FleetSection, PatternSpec, Scenario, SLOTargets
 
 #: Horizon (simulated seconds) per catalog variant.
 VARIANT_DURATIONS = {"smoke": 2 * 3600, "full": 24 * 3600}
@@ -215,6 +218,68 @@ def _weekend_retail(d: int, seed: int) -> Scenario:
     )
 
 
+def _smoke_sinusoid(d: int) -> PatternSpec:
+    # ``phase=d // 4`` puts the trough at t=0 and the peak mid-run, so
+    # the flow ramps up gently and faults land on a loaded system.
+    return PatternSpec("sinusoid", {"mean": 1500.0, "amplitude": 1200.0,
+                                    "period": d, "phase": d // 4})
+
+
+def _steady(d: int, seed: int) -> Scenario:
+    return Scenario(
+        name="steady",
+        description="A quiet sinusoidal day on the fully controlled flow: "
+                    "every decision chain closes and nothing is dropped.",
+        workload=_smoke_sinusoid(d),
+        duration=d,
+        seed=seed,
+    )
+
+
+def _chaos(d: int, seed: int) -> Scenario:
+    # One fault per elastic layer in the high-load phase, so each one
+    # produces a throttle episode or a forced rebalance and hence a
+    # closeable causal chain. Worker-crash closure needs a fixed-
+    # parallelism topology and is covered by the tracing tests instead.
+    return Scenario(
+        name="chaos",
+        description="The steady day under one fault per layer: a shard "
+                    "brownout, a stuck rebalance and a throttle storm.",
+        workload=_smoke_sinusoid(d),
+        duration=d,
+        seed=seed,
+        chaos=ChaosSchedule(faults=(
+            FaultSpec(FaultKind.SHARD_BROWNOUT, start=3 * d // 8,
+                      duration=d // 12, intensity=0.7),
+            FaultSpec(FaultKind.REBALANCE_FAIL, start=d // 2, duration=d // 24),
+            FaultSpec(FaultKind.THROTTLE_STORM, start=2 * d // 3,
+                      duration=d // 12, intensity=0.9),
+        ), seed=seed, name="chaos"),
+    )
+
+
+def _fleet(d: int, seed: int) -> Scenario:
+    return Scenario(
+        name="fleet",
+        description="Three noisy flows squeezed into one region: the pool "
+                    "is contended at peak, admission denies some "
+                    "launches, and the coordinator retargets the caps.",
+        workload=PatternSpec("noisy", {"sigma": 0.15, "interval": 60}, inner=(
+            PatternSpec("sinusoid", {"mean": 2200.0, "amplitude": 1400.0,
+                                     "period": d, "phase": d // 4}),
+        )),
+        duration=d,
+        seed=seed,
+        fleet=FleetSection(
+            flows=3,
+            limits=RegionLimits(max_instances=7, max_total_shards=9,
+                                max_total_write_units=1800,
+                                contention_threshold=0.7),
+            coordinate_period=300,
+        ),
+    )
+
+
 _BUILDERS = (
     _flash_crowd_throttle_storm,
     _seasonal_drift,
@@ -227,38 +292,59 @@ _BUILDERS = (
     _weekend_retail,
 )
 
-#: Every catalog scenario name, in catalog order.
-CATALOG_NAMES = tuple(
-    builder(VARIANT_DURATIONS["smoke"], 7).name for builder in _BUILDERS
-)
+#: The gate entries beside the exam: what ``repro scenario run --check``
+#: covers in addition to the nine.
+_GATE_BUILDERS = (_steady, _chaos, _fleet)
 
-#: Default seed for catalog runs (matches the scorecard smoke seed).
+_BY_NAME = {
+    builder(VARIANT_DURATIONS["smoke"], 7).name: builder
+    for builder in _BUILDERS + _GATE_BUILDERS
+}
+
+#: Every exam scenario name, in catalog order.
+CATALOG_NAMES = tuple(_BY_NAME)[:len(_BUILDERS)]
+
+#: The gate entries' names, in order.
+GATE_NAMES = tuple(_BY_NAME)[len(_BUILDERS):]
+
+#: Default seed for catalog runs.
 CATALOG_SEED = 7
 
 
-def catalog(variant: str = "smoke", seed: int = CATALOG_SEED) -> dict[str, Scenario]:
-    """Every catalog scenario at the given variant's horizon, by name."""
+def scenario_at(name: str, duration: int, seed: int = CATALOG_SEED) -> Scenario:
+    """One exam or gate scenario built at any horizon."""
+    if name not in _BY_NAME:
+        raise ConfigurationError(
+            f"unknown catalog scenario {name!r}; one of: {', '.join(_BY_NAME)}"
+        )
+    return _BY_NAME[name](duration, seed)
+
+
+def _horizon(name: str, variant: str) -> int:
     if variant not in VARIANT_DURATIONS:
         raise ConfigurationError(
             f"unknown catalog variant {variant!r}; one of: "
             f"{', '.join(sorted(VARIANT_DURATIONS))}"
         )
-    scenarios = {}
-    for builder in _BUILDERS:
-        duration = VARIANT_DURATIONS[variant]
-        probe = builder(duration, seed)
-        if variant == "full" and probe.name in _LONG_FULL:
-            probe = builder(_LONG_FULL[probe.name], seed)
-        scenarios[probe.name] = probe
-    return scenarios
+    if variant == "full" and name in _LONG_FULL:
+        return _LONG_FULL[name]
+    return VARIANT_DURATIONS[variant]
 
 
 def catalog_scenario(name: str, variant: str = "smoke",
                      seed: int = CATALOG_SEED) -> Scenario:
-    """One catalog scenario by name."""
-    scenarios = catalog(variant, seed=seed)
-    if name not in scenarios:
-        raise ConfigurationError(
-            f"unknown catalog scenario {name!r}; one of: {', '.join(CATALOG_NAMES)}"
-        )
-    return scenarios[name]
+    """One exam or gate scenario by name, at the variant's horizon."""
+    return scenario_at(name, _horizon(name, variant), seed)
+
+
+def catalog(variant: str = "smoke", seed: int = CATALOG_SEED) -> dict[str, Scenario]:
+    """Every exam scenario at the given variant's horizon, by name."""
+    return {name: catalog_scenario(name, variant, seed) for name in CATALOG_NAMES}
+
+
+def gate_catalog(variant: str = "smoke", seed: int = CATALOG_SEED) -> dict[str, Scenario]:
+    """The exam scenarios followed by the gate entries, by name: what
+    ``repro scenario`` lists, shows and runs."""
+    return {
+        name: catalog_scenario(name, variant, seed) for name in CATALOG_NAMES + GATE_NAMES
+    }

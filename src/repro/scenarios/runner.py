@@ -2,9 +2,10 @@
 
 :func:`run_scenario` compiles one :class:`~repro.scenarios.spec.Scenario`
 into a managed run and condenses it to a
-:class:`~repro.analysis.scorecard.RunScorecard` (scored against the
-scenario's own SLO band, wall-clock fields zeroed so the card is a pure
-function of the spec). :func:`run_catalog` fans a set of scenarios over
+:class:`~repro.analysis.scorecard.RunScorecard` — or a
+:class:`~repro.analysis.scorecard.FleetScorecard` for a fleet scenario
+(scored against the scenario's own SLO band, wall-clock fields zeroed
+so the card is a pure function of the spec). :func:`run_catalog` fans a set of scenarios over
 the deterministic process-parallel runner — results are byte-identical
 at any ``jobs`` because every card is already machine-independent — and
 folds them into a :class:`CatalogMatrix`: the committed
@@ -20,14 +21,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.analysis.runner import Scenario as SweepCase
-from repro.analysis.runner import run_scenarios
-from repro.analysis.scorecard import RunScorecard, _require_same_exactness
+from repro.analysis.runner import SweepCase, run_scenarios
+from repro.analysis.scorecard import (
+    FleetScorecard,
+    RunScorecard,
+    _require_same_exactness,
+    require_keys,
+)
 from repro.core.errors import ConfigurationError
 from repro.scenarios.spec import Scenario
 
 
-def run_scenario(scenario: Scenario, *, fast: bool = False) -> RunScorecard:
+Card = RunScorecard | FleetScorecard
+
+
+def run_scenario(scenario: Scenario, *, fast: bool = False) -> Card:
     """Run one scenario and condense it into a deterministic scorecard.
 
     ``fast`` overrides the spec onto the approximate workload path; the
@@ -37,40 +45,54 @@ def run_scenario(scenario: Scenario, *, fast: bool = False) -> RunScorecard:
     """
     manager = scenario.build_manager(exact=False if fast else None)
     result = manager.run(scenario.duration)
-    card = RunScorecard.from_result(
+    score = (
+        RunScorecard.from_result if scenario.fleet is None
+        else FleetScorecard.from_fleet_result
+    )
+    card = score(
         scenario.name, result,
         slo_band=scenario.slo.utilization_band, seed=scenario.seed,
     )
     return card.without_wall_clock()
 
 
-def _run_catalog_entry(spec: dict, fast: bool) -> RunScorecard:
+def _run_catalog_entry(spec: dict, fast: bool) -> Card:
     """Module-level sweep worker (picklable by reference)."""
     return run_scenario(Scenario.from_dict(spec), fast=fast)
+
+
+def flow_cards(card: Card) -> list[RunScorecard]:
+    """The single-flow cards inside a card: itself, or a fleet's flows."""
+    return list(card.flows.values()) if isinstance(card, FleetScorecard) else [card]
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     """One scenario's row in the matrix: its card plus the verdicts
-    only the spec can compute (SLO tolerance, budget compliance)."""
+    only the spec can compute (SLO tolerance, budget compliance). A
+    fleet entry's verdicts hold for every one of its flows."""
 
-    card: RunScorecard
+    card: Card
     #: Worst per-layer SLO violation rate within the spec's tolerance.
     slo_ok: bool
-    #: Cost within ``budget_usd_per_hour * hours``; None when the
-    #: scenario declares no budget.
+    #: Cost within ``budget_usd_per_hour * hours`` (per flow for a
+    #: fleet); None when the scenario declares no budget.
     within_budget: bool | None
 
     @classmethod
-    def from_card(cls, scenario: Scenario, card: RunScorecard) -> "CatalogEntry":
-        worst = max(card.slo_violation_pct.values(), default=0.0)
+    def from_card(cls, scenario: Scenario, card: Card) -> "CatalogEntry":
+        cards = flow_cards(card)
+        worst = max(
+            (v for c in cards for v in c.slo_violation_pct.values()), default=0.0
+        )
         budget = scenario.budget_usd_per_hour
         return cls(
             card=card,
             slo_ok=worst <= scenario.slo.max_violation_pct,
             within_budget=(
                 None if budget is None
-                else card.total_cost <= budget * card.duration_seconds / 3600.0
+                else all(c.total_cost <= budget * c.duration_seconds / 3600.0
+                         for c in cards)
             ),
         )
 
@@ -83,12 +105,14 @@ class CatalogEntry:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CatalogEntry":
+        require_keys("catalog entry", data, ("slo_ok", "within_budget", "card"))
+        card = data["card"]
+        is_fleet = isinstance(card, Mapping) and card.get("kind") == "fleet"
         return cls(
-            card=RunScorecard.from_dict(data["card"]),
-            slo_ok=bool(data.get("slo_ok", False)),
+            card=(FleetScorecard if is_fleet else RunScorecard).from_dict(card),
+            slo_ok=bool(data["slo_ok"]),
             within_budget=(
-                None if data.get("within_budget") is None
-                else bool(data["within_budget"])
+                None if data["within_budget"] is None else bool(data["within_budget"])
             ),
         )
 
@@ -132,12 +156,13 @@ class CatalogMatrix:
             raise ConfigurationError(
                 f"not a scenario-catalog matrix (kind={data.get('kind')!r})"
             )
+        require_keys("catalog matrix", data, ("kind", "variant", "exact", "scenarios"))
         return cls(
-            variant=str(data.get("variant", "smoke")),
-            exact=bool(data.get("exact", True)),
+            variant=str(data["variant"]),
+            exact=bool(data["exact"]),
             entries={
                 str(name): CatalogEntry.from_dict(entry)
-                for name, entry in data.get("scenarios", {}).items()
+                for name, entry in data["scenarios"].items()
             },
         )
 
@@ -190,6 +215,12 @@ class CatalogMatrix:
                 want, got = getattr(theirs, verdict), getattr(mine, verdict)
                 if want != got:
                     drifts.append(f"{name}.{verdict}: baseline {want!r}, got {got!r}")
+            if type(mine.card) is not type(theirs.card):
+                drifts.append(
+                    f"{name}.card: baseline {type(theirs.card).__name__}, "
+                    f"got {type(mine.card).__name__}"
+                )
+                continue
             drifts.extend(f"{name}.{d}" for d in mine.card.compare(theirs.card, rel_tol))
         return drifts
 
@@ -203,21 +234,22 @@ class CatalogMatrix:
             f"{'slo':>4} {'budget':>7} {'mttr':>12} {'inv':>4}",
         ]
         for name, entry in sorted(self.entries.items()):
-            card = entry.card
-            worst = max(card.slo_violation_pct.values(), default=0.0)
-            recovered = sum(1 for v in card.mttr_by_fault.values() if v is not None)
-            mttr = (
-                f"{recovered}/{len(card.mttr_by_fault)} rec"
-                if card.mttr_by_fault else "-"
+            cards = flow_cards(entry.card)
+            worst = max(
+                (v for c in cards for v in c.slo_violation_pct.values()), default=0.0
             )
+            mttrs = [v for c in cards for v in c.mttr_by_fault.values()]
+            recovered = sum(1 for v in mttrs if v is not None)
+            mttr = f"{recovered}/{len(mttrs)} rec" if mttrs else "-"
             budget = (
                 "-" if entry.within_budget is None
                 else ("ok" if entry.within_budget else "OVER")
             )
+            invariants_ok = all(c.invariants_ok for c in cards)
             lines.append(
-                f"  {name:<28} {card.total_cost:>9.4f} {worst:>10.2f} "
+                f"  {name:<28} {entry.card.total_cost:>9.4f} {worst:>10.2f} "
                 f"{'ok' if entry.slo_ok else 'VIOL':>4} {budget:>7} {mttr:>12} "
-                f"{'ok' if card.invariants_ok else 'BAD':>4}"
+                f"{'ok' if invariants_ok else 'BAD':>4}"
             )
         return "\n".join(lines)
 
@@ -233,7 +265,8 @@ def run_catalog(
     cards into a :class:`CatalogMatrix`.
 
     Every scenario carries its own seed and every card is wall-clock
-    free, so the matrix JSON is byte-identical at any ``jobs``.
+    free, so the matrix JSON is byte-identical at any ``jobs``. Fleet
+    scenarios run the same way and yield :class:`FleetScorecard` cards.
     """
     ordered = (
         list(scenarios.values()) if isinstance(scenarios, Mapping) else list(scenarios)

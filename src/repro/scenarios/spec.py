@@ -3,23 +3,29 @@
 A :class:`Scenario` declares one complete evaluation case — a workload
 shape (:class:`PatternSpec`), an optional
 :class:`~repro.chaos.schedule.ChaosSchedule`, SLO targets, a cost
-budget, the controller style, initial capacities, and workload
-exactness — with no behaviour of its own. Like the chaos DSL it
-round-trips losslessly through plain dicts/JSON (``parse(serialize(s))
-== s``, pinned by hypothesis in ``tests/test_scenarios_property.py``),
+budget, the controller style, initial capacities, workload exactness,
+and an optional :class:`FleetSection` that runs N copies of the flow
+against one region's account limits — with no behaviour of its own.
+Like the chaos DSL it round-trips losslessly through plain dicts/JSON
+(``parse(serialize(s)) == s``, pinned by hypothesis in
+``tests/test_scenarios_property.py``),
 and every field is validated at construction: an invalid spec raises
 :class:`ConfigurationError` naming the offending field.
 
 :meth:`Scenario.build_manager` is the only bridge to behaviour: it
 compiles the spec into a ready-to-run
-:class:`~repro.core.manager.FlowElasticityManager`. Stochastic pattern
-nodes (``bursty``, ``noisy``) derive their RNG stream from the scenario
-seed and the node's *path* in the spec tree, so editing one branch of a
-workload never reshuffles the randomness of its siblings.
+:class:`~repro.core.manager.FlowElasticityManager`, or a
+:class:`~repro.core.fleet.RegionFleetManager` for a fleet scenario.
+Stochastic pattern nodes (``bursty``, ``noisy``) derive their RNG
+stream from the scenario seed and the node's *path* in the spec tree,
+so editing one branch of a workload never reshuffles the randomness of
+its siblings; a fleet's flow *i* draws from a seed derived from its
+flow name, so the flows differ but adding one never reshuffles another.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,6 +37,7 @@ import numpy as np
 
 from repro.analysis.runner import derive_scenario_seed
 from repro.chaos.schedule import ChaosSchedule
+from repro.cloud.region import RegionLimits
 from repro.core.config import CONTROLLER_FACTORIES
 from repro.core.errors import ConfigurationError
 from repro.workload.generators import (
@@ -440,13 +447,93 @@ class SLOTargets:
 
 
 # ----------------------------------------------------------------------
+# The fleet section
+# ----------------------------------------------------------------------
+
+_LIMIT_FIELDS = tuple(f.name for f in dataclasses.fields(RegionLimits))
+
+
+def _region_limits(values) -> RegionLimits:
+    """A :class:`RegionLimits` from a mapping with exactly its fields."""
+    where = "scenario.fleet"
+    if not isinstance(values, Mapping):
+        raise _reject(where, "limits", f"must be a mapping, got {values!r}")
+    unknown = sorted(set(values) - set(_LIMIT_FIELDS))
+    if unknown:
+        raise _reject(where, f"limits.{unknown[0]}", "is not a RegionLimits field")
+    missing = [name for name in _LIMIT_FIELDS if name not in values]
+    if missing:
+        raise _reject(where, f"limits.{missing[0]}", "is required")
+    checked = {
+        name: (_as_int(where, f"limits.{name}", values[name], minimum=1)
+               if name.startswith("max_")
+               else _as_float(where, f"limits.{name}", values[name]))
+        for name in _LIMIT_FIELDS
+    }
+    try:
+        return RegionLimits(**checked)
+    except ConfigurationError as exc:
+        raise _reject(where, "limits", str(exc)) from None
+
+
+@dataclass(frozen=True)
+class FleetSection:
+    """Run the scenario's flow as ``flows`` copies in one region.
+
+    ``limits`` are the account limits the copies share;
+    ``coordinate_period`` is the seconds between coordinator passes
+    (None runs the fleet uncoordinated: region admission alone polices
+    the limits).
+    """
+
+    flows: int
+    limits: RegionLimits
+    coordinate_period: int | None = 300
+
+    def __post_init__(self) -> None:
+        _as_int("scenario.fleet", "flows", self.flows, minimum=1)
+        if not isinstance(self.limits, RegionLimits):
+            raise _reject("scenario.fleet", "limits",
+                          f"must be RegionLimits, got {self.limits!r}")
+        # Normalised through the mapping path so ints and floats
+        # serialise the same way after a round trip.
+        object.__setattr__(self, "limits", _region_limits(dataclasses.asdict(self.limits)))
+        if self.coordinate_period is not None:
+            _as_int("scenario.fleet", "coordinate_period", self.coordinate_period,
+                    minimum=1)
+
+    def to_dict(self) -> dict:
+        return {
+            "flows": self.flows,
+            "coordinate_period": self.coordinate_period,
+            "limits": dataclasses.asdict(self.limits),
+        }
+
+    @classmethod
+    def from_dict(cls, data) -> "FleetSection":
+        if not isinstance(data, Mapping):
+            raise _reject("scenario", "fleet", f"must be a mapping, got {data!r}")
+        unknown = sorted(set(data) - {"flows", "coordinate_period", "limits"})
+        if unknown:
+            raise _reject("scenario.fleet", unknown[0], "is not a recognised fleet field")
+        for required in ("flows", "limits"):
+            if required not in data:
+                raise _reject("scenario.fleet", required, "is required")
+        return cls(
+            flows=data["flows"],
+            limits=_region_limits(data["limits"]),
+            coordinate_period=data.get("coordinate_period", 300),
+        )
+
+
+# ----------------------------------------------------------------------
 # The scenario itself
 # ----------------------------------------------------------------------
 
 _SCENARIO_FIELDS = frozenset({
     "name", "description", "workload", "duration", "seed", "controller",
     "reference", "control_period", "capacity", "slo", "budget_usd_per_hour",
-    "chaos", "exact", "key_skew",
+    "chaos", "exact", "key_skew", "fleet",
 })
 
 _CAPACITY_FIELDS = ("shards", "vms", "write_units")
@@ -474,6 +561,7 @@ class Scenario:
     #: generator default, higher is more adversarial hot-keying.
     key_skew: float = 1.0
     exact: bool = True
+    fleet: FleetSection | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -522,6 +610,14 @@ class Scenario:
             "scenario", "key_skew", self.key_skew, minimum=0.0))
         if not isinstance(self.exact, bool):
             raise _reject("scenario", "exact", f"must be a boolean, got {self.exact!r}")
+        if self.fleet is not None:
+            if not isinstance(self.fleet, FleetSection):
+                raise _reject("scenario", "fleet",
+                              f"must be a FleetSection, got {self.fleet!r}")
+            period = self.fleet.coordinate_period
+            if period is not None and period > self.duration:
+                raise _reject("scenario", "fleet.coordinate_period",
+                              f"must not exceed duration={self.duration}, got {period}")
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -542,6 +638,7 @@ class Scenario:
             "chaos": self.chaos.to_dict() if self.chaos is not None else None,
             "key_skew": self.key_skew,
             "exact": self.exact,
+            "fleet": self.fleet.to_dict() if self.fleet is not None else None,
         }
 
     @classmethod
@@ -575,6 +672,9 @@ class Scenario:
             if not isinstance(slo, Mapping):
                 raise _reject("scenario", "slo", f"must be a mapping, got {slo!r}")
             slo = SLOTargets.from_dict(slo)
+        fleet = data.get("fleet")
+        if fleet is not None and not isinstance(fleet, FleetSection):
+            fleet = FleetSection.from_dict(fleet)
         return cls(
             name=data.get("name", ""),
             description=data.get("description", ""),
@@ -592,6 +692,7 @@ class Scenario:
             chaos=chaos,
             key_skew=data.get("key_skew", 1.0),
             exact=data.get("exact", True),
+            fleet=fleet,
         )
 
     def to_json(self) -> str:
@@ -609,7 +710,8 @@ class Scenario:
     # Compilation
     # ------------------------------------------------------------------
     def build_manager(self, *, exact: bool | None = None):
-        """Compile into a ready-to-run flow manager.
+        """Compile into a ready-to-run flow manager, or a region fleet
+        manager when the scenario has a ``fleet`` section.
 
         ``exact`` overrides the spec's workload path (the CLI's
         ``--fast``); the run result and its scorecard then carry the
@@ -620,25 +722,70 @@ class Scenario:
         # analysis layer — a cycle at module-import time only.
         from repro.cloud.dynamodb import DynamoDBConfig
         from repro.cloud.storm import StormConfig
-        from repro.core.builder import FlowBuilder
         from repro.workload.clickstream import ClickStreamConfig
 
-        pattern = self.workload.build(self.seed, self.duration)
-        # Service calibration shared with the smoke scorecard scenarios
-        # (scorecard.py compiles them here): load-bound analytics VMs and
-        # a short burst bucket so injected faults surface observable
-        # symptoms.
+        exact = self.exact if exact is None else exact
+        # Service calibration: load-bound analytics VMs and a short
+        # burst bucket so injected faults surface observable symptoms.
+        storm = StormConfig(records_per_vm_per_second=1000)
+        dynamodb = DynamoDBConfig(burst_seconds=10)
+        clickstream = ClickStreamConfig(zipf_exponent=self.key_skew)
+        if self.fleet is not None:
+            return self._build_fleet(exact, storm, dynamodb, clickstream)
+
+        from repro.core.builder import FlowBuilder
+
         builder = (
             FlowBuilder(f"scenario-{self.name}", seed=self.seed)
             .ingestion(shards=self.shards)
-            .analytics(vms=self.vms, storm=StormConfig(records_per_vm_per_second=1000))
-            .storage(write_units=self.write_units, config=DynamoDBConfig(burst_seconds=10))
-            .workload(pattern, clickstream=ClickStreamConfig(zipf_exponent=self.key_skew))
+            .analytics(vms=self.vms, storm=storm)
+            .storage(write_units=self.write_units, config=dynamodb)
+            .workload(self.workload.build(self.seed, self.duration),
+                      clickstream=clickstream)
             .control_all(style=self.controller, reference=self.reference,
                          period=self.control_period)
-            .exact(self.exact if exact is None else exact)
+            .exact(exact)
             .observe()
         )
         if self.chaos is not None:
             builder.chaos(self.chaos)
         return builder.build()
+
+    def _build_fleet(self, exact: bool, storm, dynamodb, clickstream):
+        """``fleet.flows`` copies of the flow, each observed like the
+        single-flow build, on one region."""
+        from repro.core.config import LayerControlConfig, make_controller
+        from repro.core.fleet import FleetFlowSpec, RegionFleetManager
+        from repro.core.flow import LayerKind
+        from repro.core.manager import ServiceCapacities
+        from repro.observability.recorder import FlightRecorder
+
+        flows = []
+        for index in range(self.fleet.flows):
+            name = f"flow{index}"
+            flows.append(FleetFlowSpec(
+                name=name,
+                workload=self.workload.build(
+                    derive_scenario_seed(self.seed, name), self.duration),
+                capacities=ServiceCapacities(
+                    shards=self.shards, vms=self.vms, write_units=self.write_units),
+                controls={
+                    kind: LayerControlConfig(
+                        controller=make_controller(self.controller, kind, self.reference),
+                        period=self.control_period,
+                        window=self.control_period,
+                    )
+                    for kind in LayerKind
+                },
+                chaos=self.chaos,
+                storm=storm,
+                dynamodb=dynamodb,
+                manager_kwargs={"clickstream": clickstream, "recorder": FlightRecorder()},
+            ))
+        return RegionFleetManager(
+            flows,
+            limits=self.fleet.limits,
+            seed=self.seed,
+            coordinate_period=self.fleet.coordinate_period,
+            exact=exact,
+        )

@@ -53,7 +53,10 @@ class TestErrors:
     def test_configuration_error_becomes_exit_message(self):
         with pytest.raises(SystemExit) as exc:
             main(["fleet", "--coordinate-period", "0", "--duration", "600"])
-        assert exc.value.code == "error: coordinator period must be positive, got 0"
+        assert exc.value.code == (
+            "error: scenario spec: scenario.fleet.coordinate_period "
+            "must be >= 1, got 0"
+        )
 
     def test_optimization_error_becomes_exit_message(self):
         with pytest.raises(SystemExit) as exc:
@@ -122,67 +125,35 @@ class TestCommands:
         assert "open in Perfetto" in capsys.readouterr().out
         assert json.loads(path.read_text())["traceEvents"]
 
-    def test_scorecard_writes_cards(self, capsys, tmp_path):
-        assert main(["scorecard", "--scenario", "steady",
-                     "--duration", "900", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "scorecard steady" in out
-        assert (tmp_path / "SCORECARD_steady_smoke.json").exists()
-
-    def test_scorecard_check_refuses_out_into_baseline_dir(self, tmp_path):
-        # Writing fresh cards into the baseline dir while gating would
-        # overwrite the baselines and compare each card against itself
-        # — the gate would always pass. Refused up front.
-        with pytest.raises(SystemExit, match="baseline"):
-            main(["scorecard", "--scenario", "steady", "--duration", "900",
-                  "--check", "--out", str(tmp_path),
-                  "--baseline-dir", str(tmp_path)])
-
-    def test_scorecard_check_does_not_touch_baselines(self, capsys, tmp_path):
-        # The gate reads the committed baseline before --out writes; a
-        # drifting run must leave the baseline file byte-identical.
-        baselines = tmp_path / "baselines"
-        fresh = tmp_path / "artifacts"
-        assert main(["scorecard", "--scenario", "steady", "--duration", "900",
-                     "--seed", "3", "--out", str(baselines)]) == 0
-        capsys.readouterr()
-        baseline_file = baselines / "SCORECARD_steady_smoke.json"
-        committed = baseline_file.read_text()
-        assert main(["scorecard", "--scenario", "steady", "--duration", "900",
-                     "--seed", "4", "--check", "--out", str(fresh),
-                     "--baseline-dir", str(baselines)]) == 1
-        assert "DRIFT" in capsys.readouterr().out
-        assert baseline_file.read_text() == committed
-        assert (fresh / "SCORECARD_steady_smoke.json").exists()
-
-    def test_scorecard_check_fails_without_baseline(self, capsys, tmp_path):
-        assert main(["scorecard", "--scenario", "steady",
-                     "--duration", "900", "--check",
-                     "--baseline-dir", str(tmp_path / "empty")]) == 1
-        out = capsys.readouterr().out
-        assert "MISSING BASELINE" in out
-        assert "scorecard gate FAILED" in out
-
-    def test_scorecard_check_reports_drift(self, capsys, tmp_path):
-        # Baseline from a different seed: every deterministic field
-        # drifts, the gate fails and names the fields.
-        assert main(["scorecard", "--scenario", "steady", "--duration", "900",
-                     "--seed", "3", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["scorecard", "--scenario", "steady", "--duration", "900",
-                     "--seed", "4", "--check",
-                     "--baseline-dir", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "DRIFT" in out
-        assert "regenerate baselines" in out
-
     def test_scenario_list_prints_catalog(self, capsys):
-        from repro.scenarios import CATALOG_NAMES
+        from repro.scenarios import CATALOG_NAMES, GATE_NAMES
 
         assert main(["scenario", "list"]) == 0
         out = capsys.readouterr().out
-        for name in CATALOG_NAMES:
+        for name in CATALOG_NAMES + GATE_NAMES:
             assert name in out
+        assert "flows=3" in out
+
+    def test_fleet_over_account_limits_exits_naming_the_resource(self):
+        # Six default flows hold 12 VMs; the default account has 10.
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--flows", "6", "--duration", "600"])
+        assert "initial instances sum to 12 across 6 flows, limit 10" in exc.value.code
+
+    def test_fleet_runs_the_region_story(self, capsys):
+        assert main(["fleet", "--duration", "1200"]) == 0
+        out = capsys.readouterr().out
+        assert "region fleet: 3 flows, 1200s simulated" in out
+        assert "coordinator: 4 passes" in out
+
+    def test_fleet_sweep_jobs_output_identical_to_serial(self, capsys):
+        argv = ["fleet", "--duration", "900", "--sweep", "2"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert "fleet scorecard fleet-case1" in serial
+        assert parallel.replace("jobs=2", "jobs=1") == serial
 
     def test_scenario_show_emits_loadable_json(self, capsys):
         from repro.scenarios import Scenario, catalog_scenario

@@ -13,8 +13,8 @@ The approximation contract (DESIGN.md) in executable form:
   spans fall;
 * **exactness flagging end-to-end** — the flag rides from
   ``FlowBuilder.exact()`` through results to scorecards, fast cards
-  refuse to compare against exact baselines, and fleet sweeps stay
-  byte-identical across jobs counts.
+  refuse to compare against exact baselines, and fleet scenarios on the
+  catalog runner stay byte-identical across jobs counts.
 """
 
 import dataclasses
@@ -24,13 +24,14 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import FleetScenarioSpec, FlowBuilder, LayerKind, sweep_fleet_scenarios
+from repro import FlowBuilder, LayerKind
 from repro.analysis.scorecard import FleetScorecard, RunScorecard
 from repro.cloud.region import RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
 from repro.core.errors import ConfigurationError
 from repro.core.fleet import FleetFlowSpec, RegionFleetManager
+from repro.scenarios import run_catalog, scenario_at
 from repro.simulation import SimClock, derive_rng
 from repro.workload import (
     ClickStreamConfig,
@@ -301,11 +302,13 @@ class TestExactnessGuardrails:
         with pytest.raises(ConfigurationError, match="not bit-comparable"):
             fast.compare(exact)
 
-    def test_legacy_cards_default_to_exact(self):
-        card = self._card(True)
-        data = card.to_dict()
+    def test_cards_without_exactness_are_rejected(self):
+        """A card that does not say which workload path produced it
+        cannot be gated; it is refused rather than assumed exact."""
+        data = self._card(True).to_dict()
         del data["exact"]
-        assert RunScorecard.from_dict(data).exact is True
+        with pytest.raises(ConfigurationError, match="missing field 'exact'"):
+            RunScorecard.from_dict(data)
 
 
 def _fleet_specs(n_flows=3, duration=1800):
@@ -341,14 +344,9 @@ def _fleet_limits():
 
 
 def _fast_fleet_cases(n_cases=2, duration=1800):
+    template = scenario_at("fleet", duration)
     return [
-        FleetScenarioSpec(
-            name=f"fast-fleet{i}",
-            flows=_fleet_specs(duration=duration),
-            limits=_fleet_limits(),
-            duration=duration,
-            exact=False,
-        )
+        dataclasses.replace(template, name=f"fast-fleet{i}", seed=11 + i, exact=False)
         for i in range(n_cases)
     ]
 
@@ -375,27 +373,11 @@ class TestFleetFastPath:
         with pytest.raises(ConfigurationError, match="fleet-level"):
             RegionFleetManager([spec])
 
-    @staticmethod
-    def _strip_wall(card):
-        """Wall-clock fields are informational and vary run to run."""
-        return dataclasses.replace(
-            card,
-            wall_seconds=0.0,
-            flows={
-                name: dataclasses.replace(
-                    flow_card, wall_seconds=0.0, ticks_per_second=0.0
-                )
-                for name, flow_card in card.flows.items()
-            },
-        )
-
     def test_fast_sweep_jobs2_pickle_identical_to_jobs1(self):
-        cases = _fast_fleet_cases()
-        serial = sweep_fleet_scenarios(cases, base_seed=11, jobs=1)
-        parallel = sweep_fleet_scenarios(_fast_fleet_cases(), base_seed=11, jobs=2)
-        assert list(serial) == list(parallel)
-        for name in serial:
-            assert pickle.dumps(self._strip_wall(serial[name])) == pickle.dumps(
-                self._strip_wall(parallel[name])
-            )
-            assert serial[name].exact is False
+        serial = run_catalog(_fast_fleet_cases(), jobs=1)
+        parallel = run_catalog(_fast_fleet_cases(), jobs=2)
+        assert list(serial.entries) == list(parallel.entries)
+        assert serial.exact is False
+        for name, entry in serial.entries.items():
+            assert pickle.dumps(entry.card) == pickle.dumps(parallel.entries[name].card)
+            assert entry.card.exact is False

@@ -2,27 +2,25 @@
 
 Coverage: the 3-flow arbitration story (coordinator shifts per-flow
 bounds under a shared-pool squeeze while every flow stays healthy),
-region denials absorbed by the per-flow retry/breaker stack, and
+region denials absorbed by the per-flow retry/breaker stack, fleets
+that start over their account limits refused at construction, and
 process-parallel fleet sweeps byte-identical to serial ones.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
-from repro.analysis.runner import Scenario, derive_scenario_seed, run_scenarios
+from repro.analysis.runner import SweepCase, derive_scenario_seed, run_scenarios
 from repro.cloud.region import RegionLimits
 from repro.cloud.storm import StormConfig
 from repro.core.config import LayerControlConfig, default_adaptive_controller
 from repro.core.errors import ConfigurationError
 from repro.core.flow import LayerKind
-from repro.core.fleet import (
-    COORDINATED_LAYERS,
-    FleetFlowSpec,
-    FleetScenarioSpec,
-    RegionFleetManager,
-    sweep_fleet_scenarios,
-)
+from repro.core.fleet import COORDINATED_LAYERS, FleetFlowSpec, RegionFleetManager
+from repro.core.manager import ServiceCapacities
+from repro.scenarios import run_catalog, scenario_at
 from repro.workload.generators import SinusoidalRate
 
 
@@ -125,6 +123,35 @@ class TestFleetValidation:
         fleet = RegionFleetManager(_flow_specs(2), coordinate_period=None)
         for name, manager in fleet.managers.items():
             assert manager.seed == derive_scenario_seed(0, name)
+
+    @pytest.mark.parametrize("limits,resource,total,limit", [
+        (RegionLimits(max_instances=4), "instances", 6, 4),
+        (RegionLimits(max_total_shards=5), "shards", 6, 5),
+        (RegionLimits(max_total_write_units=500), "write_units", 900, 500),
+        (RegionLimits(max_total_read_units=299), "read_units", 300, 299),
+    ])
+    def test_fleet_over_account_limits_rejected(self, limits, resource, total, limit):
+        """Three default flows hold 6 VMs, 6 shards, 900 WCU and 300
+        RCU; a fleet may not start above any account limit."""
+        with pytest.raises(
+            ConfigurationError,
+            match=f"initial {resource} sum to {total} across 3 flows, limit {limit}",
+        ):
+            RegionFleetManager(_flow_specs(3), limits=limits)
+
+    def test_fleet_exactly_at_limits_builds(self):
+        specs = [
+            dataclasses.replace(spec, capacities=ServiceCapacities(
+                shards=3, vms=2, write_units=600, read_units=100))
+            for spec in _flow_specs(2)
+        ]
+        fleet = RegionFleetManager(specs, limits=RegionLimits(
+            max_instances=4, max_total_shards=6,
+            max_total_write_units=1200, max_total_read_units=200,
+        ))
+        assert fleet.region.headroom(0) == {
+            "instances": 0, "shards": 0, "write_units": 0, "read_units": 0,
+        }
 
 
 class TestArbitrationUnderSqueeze:
@@ -236,7 +263,7 @@ class TestDenialAbsorption:
 class TestParallelFleetSweeps:
     def test_jobs_parallel_byte_identical_to_serial(self):
         scenarios = [
-            Scenario(
+            SweepCase(
                 name=f"fleet-{seed}",
                 fn=_fleet_digest,
                 kwargs=dict(seed=derive_scenario_seed(11, f"fleet-{seed}")),
@@ -249,40 +276,21 @@ class TestParallelFleetSweeps:
             assert pickle.dumps(a) == pickle.dumps(b)
 
     def test_fleet_scenario_sweep_jobs4_byte_identical_to_serial(self):
-        """Regression for the pinned start method: a 3-flow fleet sweep
-        at jobs=4 is byte-identical to the serial sweep — each worker
-        gets a fresh interpreter (forkserver/spawn, never fork), so no
-        parent-process state can leak into the scenario results."""
-        import dataclasses
-
-        def cases():
-            return [
-                FleetScenarioSpec(
-                    name=f"fleet-case{i}",
-                    flows=_flow_specs(duration=1800),
-                    limits=_tight_limits(),
-                    duration=1800,
-                )
-                for i in range(4)
-            ]
-
-        def strip_wall(card):
-            return dataclasses.replace(
-                card,
-                wall_seconds=0.0,
-                flows={
-                    name: dataclasses.replace(
-                        flow, wall_seconds=0.0, ticks_per_second=0.0
-                    )
-                    for name, flow in card.flows.items()
-                },
+        """Regression for the pinned start method: four 3-flow fleet
+        scenarios on the catalog runner at jobs=4 are byte-identical to
+        the serial run — each worker gets a fresh interpreter
+        (forkserver/spawn, never fork), so no parent-process state can
+        leak into the scenario results."""
+        template = scenario_at("fleet", 1800)
+        cases = [
+            dataclasses.replace(
+                template, name=name, seed=derive_scenario_seed(11, name)
             )
-
-        serial = sweep_fleet_scenarios(cases(), base_seed=11, jobs=1)
-        parallel = sweep_fleet_scenarios(cases(), base_seed=11, jobs=4)
-        assert list(serial) == list(parallel)
-        for name in serial:
-            assert pickle.dumps(strip_wall(serial[name])) == pickle.dumps(
-                strip_wall(parallel[name])
-            )
-
+            for name in (f"fleet-case{i}" for i in range(4))
+        ]
+        serial = run_catalog(cases, jobs=1)
+        parallel = run_catalog(cases, jobs=4)
+        assert list(serial.entries) == list(parallel.entries)
+        assert serial.to_json() == parallel.to_json()
+        for name, entry in serial.entries.items():
+            assert pickle.dumps(entry.card) == pickle.dumps(parallel.entries[name].card)

@@ -11,19 +11,26 @@ import json
 
 import pytest
 
+from repro.analysis.scorecard import FleetScorecard
 from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
+from repro.cloud.region import RegionLimits
 from repro.core.errors import ConfigurationError
+from repro.core.fleet import RegionFleetManager
 from repro.scenarios import (
     CATALOG_NAMES,
+    GATE_NAMES,
     CatalogEntry,
     CatalogMatrix,
+    FleetSection,
     Scenario,
     SLOTargets,
     catalog,
     catalog_scenario,
+    gate_catalog,
     run_catalog,
     run_scenario,
 )
+from repro.scenarios.runner import flow_cards
 from repro.scenarios.spec import PatternSpec
 
 
@@ -173,11 +180,72 @@ class TestScenarioValidation:
             Scenario.from_json("{nope")
 
 
+def tiny_fleet(**overrides) -> FleetSection:
+    defaults = dict(flows=2, limits=RegionLimits(max_instances=6), coordinate_period=300)
+    defaults.update(overrides)
+    return FleetSection(**defaults)
+
+
+class TestFleetSectionValidation:
+    def test_zero_flows_is_named(self):
+        with pytest.raises(ConfigurationError, match="scenario.fleet.flows must be >= 1"):
+            tiny_fleet(flows=0)
+
+    def test_unknown_limits_key_is_named(self):
+        data = tiny_scenario(fleet=tiny_fleet()).to_dict()
+        data["fleet"]["limits"]["max_gpus"] = 4
+        with pytest.raises(ConfigurationError, match="scenario.fleet.limits.max_gpus"):
+            Scenario.from_dict(data)
+
+    def test_missing_limits_key_is_named(self):
+        data = tiny_scenario(fleet=tiny_fleet()).to_dict()
+        del data["fleet"]["limits"]["contention_slope"]
+        with pytest.raises(ConfigurationError,
+                           match="scenario.fleet.limits.contention_slope is required"):
+            Scenario.from_dict(data)
+
+    def test_coordinate_period_longer_than_duration_is_named(self):
+        with pytest.raises(ConfigurationError,
+                           match="scenario.fleet.coordinate_period must not exceed"):
+            tiny_scenario(fleet=tiny_fleet(coordinate_period=901))
+
+    def test_bad_limit_value_is_named(self):
+        data = tiny_scenario(fleet=tiny_fleet()).to_dict()
+        data["fleet"]["limits"]["max_instances"] = "many"
+        with pytest.raises(ConfigurationError, match="scenario.fleet.limits.max_instances"):
+            Scenario.from_dict(data)
+        data["fleet"]["limits"]["max_instances"] = 6
+        data["fleet"]["limits"]["contention_threshold"] = 1.5
+        with pytest.raises(ConfigurationError, match="scenario.fleet.limits"):
+            Scenario.from_dict(data)
+
+    def test_unknown_fleet_field_is_named(self):
+        data = tiny_scenario(fleet=tiny_fleet()).to_dict()
+        data["fleet"]["pressure_gain"] = 2.0
+        with pytest.raises(ConfigurationError, match="scenario.fleet.pressure_gain"):
+            Scenario.from_dict(data)
+
+    def test_round_trip_keeps_uncoordinated(self):
+        scenario = tiny_scenario(fleet=tiny_fleet(coordinate_period=None))
+        clone = Scenario.from_json(scenario.to_json())
+        assert clone == scenario
+        assert clone.fleet.coordinate_period is None
+
+    def test_fleet_compiles_to_a_region_fleet(self):
+        scenario = tiny_scenario(fleet=tiny_fleet(flows=3))
+        fleet = scenario.build_manager()
+        assert isinstance(fleet, RegionFleetManager)
+        assert sorted(fleet.managers) == ["flow0", "flow1", "flow2"]
+        assert fleet.region.limits == scenario.fleet.limits
+        assert fleet.coordinator.period == 300
+        assert all(m.recorder is not None for m in fleet.managers.values())
+
+
 # ----------------------------------------------------------------------
 # Serialisation round-trips (fixed cases; hypothesis covers random ones)
 # ----------------------------------------------------------------------
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("name", CATALOG_NAMES + GATE_NAMES)
     @pytest.mark.parametrize("variant", ["smoke", "full"])
     def test_every_catalog_scenario_round_trips(self, name, variant):
         scenario = catalog_scenario(name, variant)
@@ -213,6 +281,12 @@ class TestCatalog:
         for scenario in scenarios.values():
             manager = scenario.build_manager()
             assert manager is not None
+
+    def test_gate_catalog_appends_the_gate_entries(self):
+        scenarios = gate_catalog()
+        assert tuple(scenarios) == CATALOG_NAMES + GATE_NAMES
+        assert scenarios["fleet"].fleet.flows == 3
+        assert isinstance(scenarios["fleet"].build_manager(), RegionFleetManager)
 
     def test_full_variant_is_longer(self):
         smoke, full = catalog("smoke"), catalog("full")
@@ -318,6 +392,21 @@ class TestRunCatalog:
         with pytest.raises(ConfigurationError, match="not a scenario-catalog"):
             CatalogMatrix.from_dict({"kind": "fleet"})
 
+    def test_fleet_entry_round_trips_and_kind_mismatch_is_drift(self, tmp_path):
+        fleet = tiny_scenario(name="tiny-fleet", fleet=tiny_fleet())
+        matrix = run_catalog([fleet], jobs=1)
+        card = matrix.entries["tiny-fleet"].card
+        assert isinstance(card, FleetScorecard)
+        assert card.wall_seconds == 0.0 and card.flow_wall_seconds == {}
+        assert len(flow_cards(card)) == 2
+        path = tmp_path / "matrix.json"
+        path.write_text(matrix.to_json())
+        assert CatalogMatrix.from_json_file(path) == matrix
+        single = run_catalog([tiny_scenario(name="tiny-fleet")], jobs=1)
+        assert "tiny-fleet.card: baseline FleetScorecard, got RunScorecard" in (
+            single.compare(matrix)
+        )
+
     def test_run_scenario_slo_band_feeds_the_card(self, pair):
         tight = dataclasses.replace(
             pair["tiny-a"], slo=SLOTargets(utilization_band=1.0)
@@ -333,10 +422,10 @@ class TestCommittedBaseline:
         matrix = CatalogMatrix.from_json_file("results/SCORECARD_catalog.json")
         assert matrix.variant == "smoke"
         assert matrix.exact is True
-        assert tuple(sorted(matrix.entries)) == tuple(sorted(CATALOG_NAMES))
+        assert tuple(sorted(matrix.entries)) == tuple(sorted(CATALOG_NAMES + GATE_NAMES))
         for entry in matrix.entries.values():
             assert entry.card.wall_seconds == 0.0
-            assert entry.card.invariants_ok
+            assert all(card.invariants_ok for card in flow_cards(entry.card))
 
     def test_entry_shape(self):
         matrix = CatalogMatrix.from_json_file("results/SCORECARD_catalog.json")

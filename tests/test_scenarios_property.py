@@ -1,7 +1,7 @@
 """Property tests: scenario serialisation is lossless.
 
 For any valid scenario — random workload trees, random chaos
-schedules, random knobs — ``parse(serialize(s)) == s``, byte-for-byte
+schedules, random knobs, optional fleet sections — ``parse(serialize(s)) == s``, byte-for-byte
 through JSON. And invalid specs never half-load: they raise
 ``ConfigurationError`` with the offending field named in the message.
 """
@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.chaos.schedule import ChaosSchedule, FaultKind, FaultSpec
+from repro.cloud.region import RegionLimits
 from repro.core.errors import ConfigurationError
-from repro.scenarios import Scenario, SLOTargets
+from repro.scenarios import FleetSection, Scenario, SLOTargets
 from repro.scenarios.spec import PatternSpec
 
 # ----------------------------------------------------------------------
@@ -135,6 +136,28 @@ def chaos_schedules(draw, max_start):
                          seed=draw(st.integers(min_value=0, max_value=2**31)))
 
 
+limit_counts = st.integers(min_value=1, max_value=10**6)
+
+
+@st.composite
+def fleet_sections(draw, max_period):
+    return FleetSection(
+        flows=draw(st.integers(min_value=1, max_value=16)),
+        limits=RegionLimits(
+            max_instances=draw(limit_counts),
+            max_total_shards=draw(limit_counts),
+            max_total_write_units=draw(limit_counts),
+            max_total_read_units=draw(limit_counts),
+            contention_threshold=draw(st.floats(min_value=0.01, max_value=1.0,
+                                                allow_nan=False)),
+            contention_slope=draw(st.floats(min_value=0.0, max_value=0.99,
+                                            allow_nan=False)),
+        ),
+        coordinate_period=draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=max_period))),
+    )
+
+
 @st.composite
 def scenarios(draw):
     duration = draw(st.integers(min_value=600, max_value=10**6))
@@ -163,6 +186,7 @@ def scenarios(draw):
         chaos=draw(st.one_of(st.none(), chaos_schedules(max_start=duration - 1))),
         key_skew=draw(st.floats(min_value=0.0, max_value=4.0, allow_nan=False)),
         exact=draw(st.booleans()),
+        fleet=draw(st.one_of(st.none(), fleet_sections(max_period=duration))),
     )
 
 

@@ -1,43 +1,49 @@
-"""Run scorecards: field extraction, serialisation round-trips, and the
-regression-gate comparison semantics (tight, bidirectional, wall-clock
-exempt)."""
+"""Run scorecards: field extraction, serialisation round-trips, strict
+loading, and the regression-gate comparison semantics (tight,
+bidirectional, wall-clock exempt)."""
 
+import copy
 import dataclasses
 import json
 
 import pytest
 
-from repro.analysis.scorecard import (
-    SMOKE_SCENARIOS,
-    WALL_CLOCK_FIELDS,
-    FleetScorecard,
-    RunScorecard,
-    run_smoke_scenario,
-)
+from repro.analysis.scorecard import WALL_CLOCK_FIELDS, FleetScorecard, RunScorecard
 from repro.core.errors import ConfigurationError
+from repro.scenarios import (
+    CATALOG_NAMES,
+    GATE_NAMES,
+    CatalogEntry,
+    CatalogMatrix,
+    run_scenario,
+    scenario_at,
+)
 
-#: Short horizon for the in-test smoke runs; the committed baselines in
-#: ``results/`` use the full SMOKE_DURATION and gate the real numbers.
+#: Short horizon for the in-test gate-entry runs; the committed matrix
+#: in ``results/`` runs them at the smoke horizon and gates the real
+#: numbers.
 DURATION = 1800
+
+BASELINE = "results/SCORECARD_catalog.json"
 
 
 @pytest.fixture(scope="module")
 def steady():
-    return run_smoke_scenario("steady", duration=DURATION)
+    return run_scenario(scenario_at("steady", DURATION))
 
 
 @pytest.fixture(scope="module")
 def chaos():
-    return run_smoke_scenario("chaos", duration=DURATION)
+    return run_scenario(scenario_at("chaos", DURATION))
 
 
 # ----------------------------------------------------------------------
-# from_result / run_smoke_scenario field extraction
+# from_result field extraction on the gate entries
 # ----------------------------------------------------------------------
 class TestSmokeScenarios:
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown scorecard scenario"):
-            run_smoke_scenario("nope")
+        with pytest.raises(ConfigurationError, match="unknown catalog scenario"):
+            scenario_at("nope", DURATION)
 
     def test_steady_fields_populated(self, steady):
         assert steady.name == "steady"
@@ -68,7 +74,9 @@ class TestSmokeScenarios:
         assert chaos.causal_chains > steady_chains_lower_bound(chaos)
 
     def test_scenario_registry_matches_baselines(self):
-        assert SMOKE_SCENARIOS == ("steady", "chaos", "fleet")
+        assert GATE_NAMES == ("steady", "chaos", "fleet")
+        committed = CatalogMatrix.from_json_file(BASELINE)
+        assert sorted(committed.entries) == sorted(CATALOG_NAMES + GATE_NAMES)
 
 
 def steady_chains_lower_bound(chaos: RunScorecard) -> int:
@@ -174,7 +182,7 @@ class TestCompare:
 class TestFleetScorecard:
     @pytest.fixture(scope="class")
     def fleet(self):
-        return run_smoke_scenario("fleet", duration=DURATION)
+        return run_scenario(scenario_at("fleet", DURATION))
 
     def test_fields_populated(self, fleet):
         assert fleet.name == "fleet"
@@ -230,11 +238,99 @@ class TestFleetScorecard:
         drifted = dataclasses.replace(fleet, wall_seconds=fleet.wall_seconds + 100)
         assert drifted.compare(fleet) == []
 
+    def test_without_wall_clock_zeroes_every_flow(self, fleet):
+        noisy = dataclasses.replace(
+            fleet,
+            wall_seconds=3.0,
+            flow_wall_seconds={"flow0": 1.0},
+            flows={k: dataclasses.replace(c, wall_seconds=1.0, ticks_per_second=9.0)
+                   for k, c in fleet.flows.items()},
+        )
+        assert noisy.without_wall_clock() == fleet
+
     def test_committed_baseline_loads_and_has_expected_shape(self):
-        card = FleetScorecard.from_json_file("results/SCORECARD_fleet_smoke.json")
+        """The gate's fleet entry still exercises every mechanism the
+        retired fleet card gated: admission denials, cap retargets,
+        share clamps in every flow, and clean invariants."""
+        card = CatalogMatrix.from_json_file(BASELINE).entries["fleet"].card
+        assert isinstance(card, FleetScorecard)
         assert card.name == "fleet"
         assert sorted(card.flows) == ["flow0", "flow1", "flow2"]
         assert card.coordinator_passes > 0
+        assert card.cap_retargets > 0
+        assert sum(sum(counts.values()) for counts in card.denials.values()) > 0
+        for flow in card.flows.values():
+            assert sum(flow.clamps.values()) > 0
+            assert flow.invariants_ok
+
+
+# ----------------------------------------------------------------------
+# Strict loading: a baseline missing a field (or carrying an unknown
+# one) is refused by name, never filled with a default.
+# ----------------------------------------------------------------------
+def _committed():
+    with open(BASELINE) as handle:
+        return json.load(handle)
+
+
+_COMMITTED = _committed()
+_RUN_KEYS = list(_COMMITTED["scenarios"]["steady"]["card"])
+_FLEET_KEYS = list(_COMMITTED["scenarios"]["fleet"]["card"])
+_ENTRY_KEYS = list(_COMMITTED["scenarios"]["steady"])
+_MATRIX_KEYS = list(_COMMITTED)
+
+
+def _loaders():
+    """(label, key, loader, payload) per droppable field."""
+    data = _COMMITTED
+    run_card = data["scenarios"]["steady"]["card"]
+    fleet_card = data["scenarios"]["fleet"]["card"]
+    cases = [("run", key, RunScorecard.from_dict, run_card) for key in _RUN_KEYS]
+    cases += [("fleet", key, FleetScorecard.from_dict, fleet_card) for key in _FLEET_KEYS]
+    cases += [("entry", key, CatalogEntry.from_dict, data["scenarios"]["fleet"])
+              for key in _ENTRY_KEYS]
+    cases += [("matrix", key, CatalogMatrix.from_dict, data)
+              for key in _MATRIX_KEYS if key != "kind"]
+    return cases
+
+
+class TestStrictLoading:
+    def test_committed_cards_declare_every_field(self):
+        assert set(_RUN_KEYS) == {f.name for f in dataclasses.fields(RunScorecard)}
+        assert set(_FLEET_KEYS) == {"kind"} | {
+            f.name for f in dataclasses.fields(FleetScorecard)
+        }
+
+    @pytest.mark.parametrize(
+        "label,key,loader,payload", _loaders(),
+        ids=[f"{label}-{key}" for label, key, _loader, _payload in _loaders()],
+    )
+    def test_missing_field_is_named(self, label, key, loader, payload):
+        trimmed = copy.deepcopy(payload)
+        del trimmed[key]
+        with pytest.raises(ConfigurationError, match=f"missing field '{key}'"):
+            loader(trimmed)
+
+    @pytest.mark.parametrize("loader,payload", [
+        (RunScorecard.from_dict, _COMMITTED["scenarios"]["steady"]["card"]),
+        (FleetScorecard.from_dict, _COMMITTED["scenarios"]["fleet"]["card"]),
+        (CatalogEntry.from_dict, _COMMITTED["scenarios"]["steady"]),
+        (CatalogMatrix.from_dict, _COMMITTED),
+    ], ids=["run", "fleet", "entry", "matrix"])
+    def test_unknown_field_is_named(self, loader, payload):
+        extended = {**copy.deepcopy(payload), "mystery_field": 1}
+        with pytest.raises(ConfigurationError, match="unknown field 'mystery_field'"):
+            loader(extended)
+
+    def test_nested_flow_card_is_strict_too(self):
+        fleet = copy.deepcopy(_COMMITTED["scenarios"]["fleet"]["card"])
+        del fleet["flows"]["flow1"]["dropped_writes"]
+        with pytest.raises(ConfigurationError, match="missing field 'dropped_writes'"):
+            FleetScorecard.from_dict(fleet)
+
+    def test_committed_matrix_loads(self):
+        matrix = CatalogMatrix.from_dict(copy.deepcopy(_COMMITTED))
+        assert json.loads(matrix.to_json()) == _COMMITTED
 
 
 # ----------------------------------------------------------------------
