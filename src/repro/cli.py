@@ -4,22 +4,26 @@ The VLDB demonstration walked attendees through building a flow,
 configuring controllers, and watching the dashboards (Sec. 4). This CLI
 is the terminal version::
 
-    python -m repro.cli demo       # build + run a managed flow, show the dashboard
-    python -m repro.cli trace      # run with the flight recorder, summarise / export
+    python -m repro.cli demo       # run the ``steady`` entry, show the dashboard
+    python -m repro.cli trace      # run ``steady`` with the flight recorder, summarise / export
     python -m repro.cli fig2       # workload dependency analysis (Fig. 2 / Eq. 2)
     python -m repro.cli pareto     # resource share analysis (Fig. 4)
     python -m repro.cli shootout   # controller comparison (Sec. 3.3)
-    python -m repro.cli chaos      # fault injection + invariant audit + MTTR
-    python -m repro.cli fleet      # several flows against one region's limits
+    python -m repro.cli chaos      # the ``chaos`` entry: faults + invariant audit + MTTR
+    python -m repro.cli fleet      # the ``fleet`` entry: flows against one region's limits
     python -m repro.cli scenario   # scenario catalog: list / show / run / gate
 
-Every command prints deterministic output; run commands accept
-``--seed`` (``scenario`` carries its seeds inside the specs).
+Every run command except ``fig2`` compiles its flags into catalog
+scenarios (``scenario show NAME`` prints the entry behind it), so the
+CLI builds flows through the same compiler as the gate. Every command
+prints deterministic output; run commands accept ``--seed``
+(``scenario`` carries its seeds inside the specs).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -33,21 +37,25 @@ from repro import (
     LayerKind,
     clickstream_flow_spec,
 )
-from repro.analysis import (
-    ComparisonReport,
-    SweepCase,
-    derive_scenario_seed,
-    run_scenarios,
-    settling_time,
-    slo_violation_rate,
-)
+from repro.analysis import ComparisonReport, derive_scenario_seed
 from repro.chaos import recovery_times
 from repro.core.config import CONTROLLER_FACTORIES
 from repro.dependency import fit_linear, pearson_r
 from repro.monitoring import stacked_panels
-from repro.observability import FlightRecorder, chain_for, to_chrome_trace
+from repro.observability import chain_for, to_chrome_trace
 from repro.optimization import ResourceShareAnalyzer, ShareConstraint
-from repro.workload import FlashCrowdRate, ConstantRate, SinusoidalRate
+from repro.scenarios import (
+    CATALOG_SEED,
+    VARIANT_DURATIONS,
+    CatalogMatrix,
+    FleetSection,
+    Scenario,
+    catalog_scenario,
+    gate_catalog,
+    run_catalog,
+    scenario_at,
+)
+from repro.workload import SinusoidalRate
 
 
 def _ensure_writable(path: str) -> None:
@@ -70,29 +78,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _managed_run(
-    duration: int,
-    seed: int,
-    style: str,
-    reference: float,
-    recorder: FlightRecorder | None = None,
-    exact: bool = True,
-):
-    workload = SinusoidalRate(
-        mean=1500.0, amplitude=1200.0, period=duration, phase=-duration // 4
-    )
-    builder = (
-        FlowBuilder("cli-flow", seed=seed)
-        .ingestion(shards=2)
-        .analytics(vms=2)
-        .storage(write_units=300)
-        .workload(workload)
-        .control_all(style=style, reference=reference, period=60)
-        .exact(exact)
-    )
-    if recorder is not None:
-        builder.observe(recorder=recorder)
-    return builder.build().run(duration)
+def _scenario(entry: str, args: argparse.Namespace, /, **fields) -> Scenario:
+    """Catalog ``entry`` at ``--duration`` and ``--seed``, with the run
+    flags (``--style``, ``--reference``, ``--fast``) and ``fields``
+    overriding the spec; the replaced spec is validated like any other."""
+    flags = vars(args)
+    template = scenario_at(entry, args.duration, args.seed)
+    return dataclasses.replace(template, **{
+        "controller": flags.get("style", template.controller),
+        "reference": args.reference,
+        "exact": not flags.get("fast", False),
+        **fields,
+    })
 
 
 def _fast_banner(exact: bool) -> None:
@@ -104,15 +101,17 @@ def _fast_banner(exact: bool) -> None:
         )
 
 
+def _steady_scenarios(args: argparse.Namespace) -> list[Scenario]:
+    """``demo`` and ``trace`` run the ``steady`` entry."""
+    return [_scenario("steady", args)]
+
+
 def cmd_demo(args: argparse.Namespace) -> int:
+    (scenario,) = args.scenarios(args)
     if args.trace:
         _ensure_writable(args.trace)
-    recorder = FlightRecorder() if args.trace else None
     _fast_banner(not args.fast)
-    result = _managed_run(
-        args.duration, args.seed, args.style, args.reference,
-        recorder=recorder, exact=not args.fast,
-    )
+    result = scenario.build_manager().run(scenario.duration)
     print(result.dashboard())
     print()
     for kind in LayerKind:
@@ -121,7 +120,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"{kind.name.lower():<10} {label:<7} "
               f"{capacity.minimum():.0f}..{capacity.maximum():.0f}")
     print(f"total cost: ${result.total_cost:.4f}")
-    if recorder is not None:
+    if args.trace:
+        recorder = result.recorder
         lines = recorder.to_jsonl(args.trace)
         print(f"trace: {lines} lines ({len(recorder.bus)} events, "
               f"{len(recorder.decisions)} decisions) -> {args.trace}")
@@ -129,14 +129,18 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.out:
-        _ensure_writable(args.out)
-    if args.chrome:
-        _ensure_writable(args.chrome)
-    recorder = FlightRecorder(profile=args.profile)
-    result = _managed_run(
-        args.duration, args.seed, args.style, args.reference, recorder=recorder
-    )
+    if (args.from_tick is not None and args.to_tick is not None
+            and args.from_tick > args.to_tick):
+        raise SystemExit(
+            f"--from-tick {args.from_tick} is after --to-tick {args.to_tick}: "
+            "no event can match"
+        )
+    (scenario,) = args.scenarios(args)
+    for path in (args.out, args.chrome):
+        if path:
+            _ensure_writable(path)
+    result = scenario.build_manager(profile=args.profile).run(scenario.duration)
+    recorder = result.recorder
     filtering = (
         args.layer or args.kind
         or args.from_tick is not None or args.to_tick is not None
@@ -226,54 +230,30 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shootout_style(
-    style: str, duration: int, seed: int, reference: float, exact: bool = True
-) -> list[float | None]:
-    """One controller style's shootout row (module-level: sweep workers pickle it)."""
-    crowd_at = duration // 4
-    workload = ConstantRate(700.0) + FlashCrowdRate(
-        peak=2200.0, at=crowd_at, rise_seconds=120, decay_seconds=1500
-    )
-    manager = (
-        FlowBuilder(f"cli-{style}", seed=seed)
-        .ingestion(shards=1)
-        .analytics(vms=1)
-        .storage(write_units=200)
-        .workload(workload)
-        .control_all(style=style, reference=reference, period=60)
-        .exact(exact)
-        .build()
-    )
-    result = manager.run(duration)
-    util = result.utilization_trace(LayerKind.INGESTION)
-    settle = settling_time(util, 0.0, 85.0, start=crowd_at, hold_seconds=300)
+def _shootout_scenarios(args: argparse.Namespace) -> list[Scenario]:
+    """One copy of ``flash-crowd-throttle-storm`` per controller style,
+    named by its style and sharing one seed (the same workload draw)."""
     return [
-        100.0 * slo_violation_rate(util, "<=", 85.0),
-        float(settle) if settle is not None else None,
-        result.total_cost,
+        _scenario("flash-crowd-throttle-storm", args, name=style, controller=style)
+        for style in sorted(CONTROLLER_FACTORIES)
     ]
 
 
 def cmd_shootout(args: argparse.Namespace) -> int:
-    columns = ["violations_%", "settle_s", "cost_$"]
+    scenarios = args.scenarios(args)
     _fast_banner(not args.fast)
     report = ComparisonReport(
-        "controller comparison under a flash crowd", columns
+        "controller comparison: a flash crowd inside a throttle storm",
+        ["violations_%", "storm_mttr_s", "cost_$"],
     )
-    styles = sorted(CONTROLLER_FACTORIES)
-    scenarios = [
-        SweepCase(
-            name=style,
-            fn=_shootout_style,
-            kwargs=dict(
-                style=style, duration=args.duration, seed=args.seed,
-                reference=args.reference, exact=not args.fast,
-            ),
-        )
-        for style in styles
-    ]
-    for style, row in zip(styles, run_scenarios(scenarios, jobs=args.jobs)):
-        report.add_row(style, row)
+    matrix = run_catalog(scenarios, jobs=args.jobs)
+    for scenario in scenarios:
+        card = matrix.entries[scenario.name].card
+        # The entry injects one fault, the throttle storm.
+        (mttr,) = card.mttr_by_fault.values()
+        report.add_row(scenario.name, [
+            card.slo_violation_pct["ingestion"], mttr, card.total_cost,
+        ])
     print(report.render())
     print(f"\nbest on SLO violations: {report.best_row('violations_%')}")
     return 0
@@ -300,44 +280,28 @@ def _parse_fault(text: str) -> FaultSpec:
         raise SystemExit(f"bad --fault {text!r}: {exc}")
 
 
-def _default_chaos(duration: int, seed: int) -> ChaosSchedule:
-    """One fault per flow layer, spaced across the run."""
-    return ChaosSchedule(faults=(
-        FaultSpec(kind=FaultKind.SHARD_BROWNOUT, start=duration // 6,
-                  duration=duration // 12, intensity=0.5),
-        FaultSpec(kind=FaultKind.WORKER_CRASH, start=duration // 2, intensity=1),
-        FaultSpec(kind=FaultKind.THROTTLE_STORM, start=2 * duration // 3,
-                  duration=duration // 12, intensity=0.6),
-    ), seed=seed, name="cli-default")
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
+def _chaos_scenarios(args: argparse.Namespace) -> list[Scenario]:
+    """The ``chaos`` entry; ``--fault`` or ``--schedule`` replaces its
+    schedule, which the scenario then validates against ``--duration``."""
+    fields = {}
     if args.schedule:
         try:
             with open(args.schedule) as handle:
-                schedule = ChaosSchedule.from_json(handle.read())
+                fields["chaos"] = ChaosSchedule.from_json(handle.read())
         except (OSError, ValueError, FlowerError) as exc:
             raise SystemExit(f"cannot load schedule {args.schedule!r}: {exc}")
     elif args.fault:
-        schedule = ChaosSchedule(
+        fields["chaos"] = ChaosSchedule(
             faults=tuple(_parse_fault(text) for text in args.fault), seed=args.seed
         )
-    else:
-        schedule = _default_chaos(args.duration, args.seed)
+    return [_scenario("chaos", args, **fields)]
 
-    manager = (
-        FlowBuilder("cli-chaos", seed=args.seed)
-        .ingestion(shards=2)
-        .analytics(vms=2)
-        .storage(write_units=300)
-        .workload(ConstantRate(1500.0))
-        .control_all(style=args.style, reference=args.reference, period=60)
-        .chaos(schedule)
-        .build()
-    )
-    result = manager.run(args.duration)
 
-    print(f"fault timeline ({schedule.name}, seed {schedule.seed}):")
+def cmd_chaos(args: argparse.Namespace) -> int:
+    (scenario,) = args.scenarios(args)
+    result = scenario.build_manager().run(scenario.duration)
+
+    print(f"fault timeline ({scenario.chaos.name}, seed {scenario.chaos.seed}):")
     for event in result.chaos_events:
         detail = f"  {event.detail}" if event.detail else ""
         print(f"  t={event.time:>6}  {event.phase:<6} {event.fault:<15} "
@@ -356,50 +320,42 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if result.invariants.ok else 1
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Run N flows against one region and show the arbitration story.
-
-    The flags compile into one fleet :class:`~repro.scenarios.Scenario`:
-    the catalog's ``fleet`` entry at ``--duration`` with the flow count,
-    seed, reference, account limits and coordinator period overridden.
-    """
-    import dataclasses
-
-    from repro.scenarios import FleetSection, run_catalog, scenario_at
-
-    template = scenario_at("fleet", args.duration)
-    scenario = dataclasses.replace(
-        template,
-        seed=args.seed,
-        reference=args.reference,
-        exact=not args.fast,
-        fleet=FleetSection(
-            flows=args.flows,
-            limits=dataclasses.replace(
-                template.fleet.limits,
-                max_instances=args.max_instances,
-                max_total_shards=args.max_shards,
-                max_total_write_units=args.max_write_units,
-            ),
-            coordinate_period=None if args.no_coordinator else args.coordinate_period,
+def _fleet_scenarios(args: argparse.Namespace) -> list[Scenario]:
+    """The ``fleet`` entry with the flow count, account limits and
+    coordinator period (0: uncoordinated) overridden; ``--sweep N``
+    makes N renamed copies with name-derived seeds."""
+    template = _scenario("fleet", args)
+    scenario = dataclasses.replace(template, fleet=FleetSection(
+        flows=args.flows,
+        limits=dataclasses.replace(
+            template.fleet.limits,
+            max_instances=args.max_instances,
+            max_total_shards=args.max_shards,
+            max_total_write_units=args.max_write_units,
         ),
-    )
+        coordinate_period=args.coordinate_period or None,
+    ))
+    if args.sweep == 1:
+        return [scenario]
+    return [
+        dataclasses.replace(scenario, name=name, seed=derive_scenario_seed(args.seed, name))
+        for name in (f"fleet-case{i}" for i in range(args.sweep))
+    ]
+
+
+def cmd_fleet(args: argparse.Namespace) -> int:
+    """Run N flows against one region and show the arbitration story."""
+    scenarios = args.scenarios(args)
     _fast_banner(not args.fast)
     if args.sweep > 1:
-        # Process-parallel policy sweep: renamed copies of the same
-        # region squeeze with name-derived seeds, on the catalog runner.
-        cases = [
-            dataclasses.replace(
-                scenario, name=name, seed=derive_scenario_seed(args.seed, name)
-            )
-            for name in (f"fleet-case{i}" for i in range(args.sweep))
-        ]
-        matrix = run_catalog(cases, jobs=args.jobs)
+        # Process-parallel policy sweep on the catalog runner.
+        matrix = run_catalog(scenarios, jobs=args.jobs)
         for entry in matrix.entries.values():
             print(entry.card.summary())
             print()
-        print(f"{len(cases)} fleet cases swept with jobs={args.jobs}")
+        print(f"{len(scenarios)} fleet cases swept with jobs={args.jobs}")
         return 0
+    (scenario,) = scenarios
     result = scenario.build_manager().run(scenario.duration)
     print(result.summary())
     if result.coordinator is not None and result.coordinator.records:
@@ -430,13 +386,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import (
-        CatalogMatrix,
-        catalog_scenario,
-        gate_catalog,
-        run_catalog,
-    )
-
     if args.action == "list":
         scenarios = gate_catalog(args.variant)
         print(f"scenario catalog [{args.variant}] — {len(scenarios)} scenarios")
@@ -525,26 +474,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="run a managed flow and show the dashboard")
-    demo.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
-    demo.add_argument("--seed", type=int, default=7)
-    demo.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
-    demo.add_argument("--reference", type=float, default=60.0,
-                      help="desired utilisation (the wizard's reference value)")
-    demo.add_argument("--fast", action="store_true",
+    # The run flags every scenario-backed command shares; ``styled``
+    # adds --style for the commands that run one controller.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--duration", type=_positive_int,
+                     default=VARIANT_DURATIONS["smoke"], help="simulated seconds")
+    run.add_argument("--seed", type=int, default=CATALOG_SEED)
+    run.add_argument("--reference", type=float, default=60.0,
+                     help="desired utilisation (the wizard's reference value)")
+    styled = argparse.ArgumentParser(add_help=False, parents=[run])
+    styled.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES),
+                        default="adaptive")
+    fast = argparse.ArgumentParser(add_help=False)
+    fast.add_argument("--fast", action="store_true",
                       help="approximate (exact=False) workload path: statistically "
                            "equivalent, several times faster, not bit-comparable")
+
+    demo = sub.add_parser("demo", parents=[styled, fast],
+                          help="run the 'steady' entry and show the dashboard")
     demo.add_argument("--trace", default=None, metavar="PATH",
                       help="record a flight-recorder trace and write it as JSONL")
-    demo.set_defaults(func=cmd_demo)
+    demo.set_defaults(func=cmd_demo, scenarios=_steady_scenarios)
 
     trace = sub.add_parser(
-        "trace", help="run a managed flow with the flight recorder and summarise it"
+        "trace", parents=[styled],
+        help="run the 'steady' entry with the flight recorder and summarise it",
     )
-    trace.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
-    trace.add_argument("--reference", type=float, default=60.0)
     trace.add_argument("--out", default=None, metavar="PATH",
                        help="also export the trace as JSONL")
     trace.add_argument("--chrome", default=None, metavar="PATH",
@@ -563,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--causal", default=None, metavar="TRACE_ID",
                        help="print one reconstructed causal chain "
                             "(loop@time or fault:<kind>@<start>)")
-    trace.set_defaults(func=cmd_trace)
+    trace.set_defaults(func=cmd_trace, scenarios=_steady_scenarios)
 
     fig2 = sub.add_parser("fig2", help="workload dependency analysis on a static run")
     fig2.add_argument("--duration", type=_positive_int, default=3 * 3600)
@@ -578,40 +533,33 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random | balanced | cheapest | max:<layer>")
     pareto.set_defaults(func=cmd_pareto)
 
-    shootout = sub.add_parser("shootout", help="compare the four controller styles")
-    shootout.add_argument("--duration", type=_positive_int, default=2 * 3600)
-    shootout.add_argument("--seed", type=int, default=5)
-    shootout.add_argument("--reference", type=float, default=60.0)
-    shootout.add_argument("--fast", action="store_true",
-                          help="approximate (exact=False) workload path")
+    shootout = sub.add_parser(
+        "shootout", parents=[run, fast],
+        help="compare the four controller styles on 'flash-crowd-throttle-storm'",
+    )
     shootout.add_argument("--jobs", type=_positive_int, default=1,
                           help="worker processes for the style sweep "
                                "(results are identical to a serial run)")
-    shootout.set_defaults(func=cmd_shootout)
+    shootout.set_defaults(func=cmd_shootout, scenarios=_shootout_scenarios)
 
     chaos = sub.add_parser(
-        "chaos", help="run a managed flow under injected faults and audit recovery"
+        "chaos", parents=[styled],
+        help="run the 'chaos' entry under its faults and audit recovery",
     )
-    chaos.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--style", choices=sorted(CONTROLLER_FACTORIES), default="adaptive")
-    chaos.add_argument("--reference", type=float, default=60.0)
-    chaos.add_argument("--fault", action="append", metavar="KIND:START[:DURATION[:INTENSITY]]",
-                       help="add one fault (repeatable); kinds: "
-                            + ", ".join(sorted(k.value for k in FaultKind)))
-    chaos.add_argument("--schedule", default=None, metavar="PATH",
-                       help="load a ChaosSchedule JSON file (overrides --fault); "
-                            "default scenario: one fault per layer")
-    chaos.set_defaults(func=cmd_chaos)
+    faults = chaos.add_mutually_exclusive_group()
+    faults.add_argument("--fault", action="append", metavar="KIND:START[:DURATION[:INTENSITY]]",
+                        help="add one fault (repeatable); kinds: "
+                             + ", ".join(sorted(k.value for k in FaultKind)))
+    faults.add_argument("--schedule", default=None, metavar="PATH",
+                        help="load a ChaosSchedule JSON file; "
+                             "default: the entry's one fault per layer")
+    chaos.set_defaults(func=cmd_chaos, scenarios=_chaos_scenarios)
 
     fleet = sub.add_parser(
-        "fleet",
-        help="run several flows against one region's shared account limits",
+        "fleet", parents=[run, fast],
+        help="run the 'fleet' entry: several flows against one region's limits",
     )
     fleet.add_argument("--flows", type=_positive_int, default=3, help="number of flows")
-    fleet.add_argument("--duration", type=_positive_int, default=2 * 3600, help="simulated seconds")
-    fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument("--reference", type=float, default=60.0)
     fleet.add_argument("--max-instances", type=int, default=10,
                        help="account-wide EC2 instance limit")
     fleet.add_argument("--max-shards", type=int, default=12,
@@ -619,18 +567,15 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--max-write-units", type=int, default=2400,
                        help="account-wide DynamoDB write-unit limit")
     fleet.add_argument("--coordinate-period", type=int, default=300,
-                       help="seconds between coordinator arbitration passes")
-    fleet.add_argument("--fast", action="store_true",
-                       help="approximate (exact=False) workload path for every flow")
+                       help="seconds between coordinator arbitration passes; 0 "
+                            "disables arbitration (region admission alone "
+                            "polices the limits)")
     fleet.add_argument("--sweep", type=_positive_int, default=1, metavar="N",
                        help="run the fleet as N independent scenario cases "
                             "(name-derived seeds) instead of one run")
     fleet.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for --sweep (byte-identical to jobs=1)")
-    fleet.add_argument("--no-coordinator", action="store_true",
-                       help="disable arbitration; region admission alone "
-                            "polices the limits")
-    fleet.set_defaults(func=cmd_fleet)
+    fleet.set_defaults(func=cmd_fleet, scenarios=_fleet_scenarios)
 
     scenario = sub.add_parser(
         "scenario",

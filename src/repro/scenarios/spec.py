@@ -709,14 +709,16 @@ class Scenario:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def build_manager(self, *, exact: bool | None = None):
+    def build_manager(self, *, exact: bool | None = None, profile: bool = False):
         """Compile into a ready-to-run flow manager, or a region fleet
         manager when the scenario has a ``fleet`` section.
 
         ``exact`` overrides the spec's workload path (the CLI's
         ``--fast``); the run result and its scorecard then carry the
         effective exactness, so a fast run can never gate against an
-        exact baseline.
+        exact baseline. ``profile`` turns on a single flow's tick profiler
+        (``repro trace --profile``); it is a property of the run, not of
+        the scenario, and is never serialised.
         """
         # Imported here: repro.core.builder transitively imports the
         # analysis layer — a cycle at module-import time only.
@@ -745,7 +747,7 @@ class Scenario:
             .control_all(style=self.controller, reference=self.reference,
                          period=self.control_period)
             .exact(exact)
-            .observe()
+            .observe(profile=profile)
         )
         if self.chaos is not None:
             builder.chaos(self.chaos)

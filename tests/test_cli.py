@@ -47,16 +47,97 @@ class TestParser:
         assert "invalid int value: 'soon'" in capsys.readouterr().err
 
 
+def compiled(argv):
+    """The scenarios a command's flags compile to, without running them."""
+    args = build_parser().parse_args(argv)
+    return args.scenarios(args)
+
+
+class TestScenarios:
+    """Every run command except fig2 is a catalog entry with its flags
+    applied; at default flags it is exactly the gated entry."""
+
+    @pytest.mark.parametrize("command, entry", [
+        ("demo", "steady"), ("trace", "steady"), ("chaos", "chaos"),
+    ])
+    def test_defaults_are_the_gated_entry(self, command, entry):
+        from repro.scenarios import scenario_at
+
+        assert compiled([command]) == [scenario_at(entry, 7200)]
+
+    def test_shootout_defaults_are_style_copies_of_the_gated_entry(self):
+        import dataclasses
+
+        from repro.scenarios import scenario_at
+
+        entry = scenario_at("flash-crowd-throttle-storm", 7200)
+        assert compiled(["shootout"]) == [
+            dataclasses.replace(entry, name=style, controller=style)
+            for style in ("adaptive", "fixed", "quasi", "rule")
+        ]
+
+    def test_flags_override_fields(self):
+        (scenario,) = compiled(["demo", "--duration", "1800", "--seed", "3",
+                                "--style", "rule", "--reference", "50", "--fast"])
+        assert (scenario.duration, scenario.seed, scenario.controller,
+                scenario.reference, scenario.exact) == (1800, 3, "rule", 50.0, False)
+
+    def test_fault_replaces_the_chaos_schedule(self):
+        (scenario,) = compiled(["chaos", "--fault", "worker-crash:900:0:1"])
+        assert [(f.kind.value, f.start) for f in scenario.chaos.faults] == [
+            ("worker-crash", 900)]
+
+    def test_coordinate_period_zero_runs_uncoordinated(self):
+        (scenario,) = compiled(["fleet", "--coordinate-period", "0"])
+        assert scenario.fleet.coordinate_period is None
+
+
 class TestErrors:
     """A library error ends the command with one line, not a traceback."""
 
     def test_configuration_error_becomes_exit_message(self):
         with pytest.raises(SystemExit) as exc:
-            main(["fleet", "--coordinate-period", "0", "--duration", "600"])
+            main(["fleet", "--coordinate-period", "-1", "--duration", "600"])
         assert exc.value.code == (
             "error: scenario spec: scenario.fleet.coordinate_period "
-            "must be >= 1, got 0"
+            "must be >= 1, got -1"
         )
+
+    def test_fault_that_never_fires_exits_naming_the_field(self):
+        # A crash after the run ends used to be accepted and never fire.
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--fault", "worker-crash:9999:0:1", "--duration", "3600"])
+        message = exc.value.code
+        assert "\n" not in message
+        assert message.startswith("error: scenario spec: scenario.chaos ")
+        assert "worker-crash@9999" in message
+
+    def test_fault_and_schedule_are_mutually_exclusive(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([
+                "chaos", "--fault", "worker-crash:60",
+                "--schedule", str(tmp_path / "schedule.json"),
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_trace_tick_window_must_not_be_inverted(self, tmp_path):
+        out = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--from-tick", "600", "--to-tick", "300",
+                  "--out", str(out)])
+        message = exc.value.code
+        assert "\n" not in message
+        assert "--from-tick 600" in message and "--to-tick 300" in message
+        assert not out.exists()
+
+    def test_bad_flag_leaves_no_trace_file(self, tmp_path):
+        # The scenario is compiled (and rejected) before any output
+        # path is touched.
+        out = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit, match="scenario.reference"):
+            main(["demo", "--reference", "0", "--trace", str(out)])
+        assert not out.exists()
 
     def test_optimization_error_becomes_exit_message(self):
         with pytest.raises(SystemExit) as exc:
@@ -106,10 +187,11 @@ class TestCommands:
         assert "throttle" not in out
 
     def test_trace_causal_prints_chain(self, capsys):
+        # ``steady`` starts in its trough: ingestion first acts at 360 s.
         assert main(["trace", "--duration", "1200", "--seed", "1",
-                     "--causal", "ingestion@60"]) == 0
+                     "--causal", "ingestion@360"]) == 0
         out = capsys.readouterr().out
-        assert "ingestion@60" in out
+        assert "ingestion@360" in out
 
     def test_trace_causal_unknown_id_exits(self, capsys):
         with pytest.raises(SystemExit, match="unknown trace id"):
