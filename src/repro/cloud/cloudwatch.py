@@ -198,18 +198,19 @@ class _Series:
     def extend(self, times: np.ndarray, values: np.ndarray) -> None:
         """Append a whole batch; one version bump.
 
-        The caller (:meth:`SimCloudWatch.flush_pending`) hands in
+        The caller (:meth:`SimCloudWatch._land`) hands in
         columns :meth:`SimCloudWatch.put_metric_data_batch` already
         validated as flat, equal-length and time-ordered after this
         series' tail, so they are written straight into the reserved
         tail.
         """
-        count = len(times)
         n = self._len
-        self._reserve(count)
-        self._times[n : n + count] = times
-        self._values[n : n + count] = values
-        self._len = n + count
+        end = n + len(times)
+        if end > self._times.shape[0]:
+            self._reserve(end - n)
+        self._times[n:end] = times
+        self._values[n:end] = values
+        self._len = end
         self.version += 1
 
     def locate(self, start: int, end: int) -> tuple[int, int]:
@@ -239,11 +240,16 @@ class SimCloudWatch:
         # so the memo holds at most one control period's worth of
         # distinct read shapes per series.
         self._read_memo: dict[tuple, list] = {}
-        #: Deferred batch writes: :meth:`put_metric_data_batch` buffers
-        #: validated columns per series and every read path flushes
-        #: them first, so readers always see exactly the series an
-        #: eager store would hold.
-        self._pending: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
+        #: Deferred batch writes per series group (one service's span
+        #: metrics): an open group is ``[series, blocks, tail]``, its
+        #: members, its validated ``(times, block)`` pairs not landed
+        #: yet and their newest time. A read lands the group of the
+        #: series it reads, so readers see exactly what an eager store
+        #: would hold; any other write to a member closes the group, so
+        #: an open group's tail is each member's own. ``_group_of`` maps
+        #: a series key to the group that last opened it.
+        self._groups: dict[tuple, list] = {}
+        self._group_of: dict[tuple, tuple] = {}
         self._times_source: object = None
         self._times_checked: np.ndarray | None = None
         # Monitoring-layer fault injection (chaos harness). A metric
@@ -267,70 +273,105 @@ class SimCloudWatch:
     ) -> None:
         """Record one datapoint. Timestamps must be non-decreasing per series."""
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self._pending:
-            self.flush_pending(key)
+        if self._groups:
+            self._close(self._group_of.get(key))
         self._series[key].append(timestamp, value)
 
     def put_metric_data_batch(
         self,
         namespace: str,
-        metric_name: str,
+        metric_names: tuple[str, ...],
         times: Sequence[int],
-        values: Sequence[float],
+        rows: Sequence[Sequence[float]],
         dimensions: dict[str, str] | None = None,
     ) -> None:
-        """Record a whole time-ordered batch of datapoints in one call.
+        """Record a span of datapoints for a group of series in one call.
 
-        This is the columnar write path for span execution: a span's
-        worth of per-tick measurements is validated here (so a bad
-        batch fails at the call that made it) and buffered until the
-        series is next read, when all its buffered batches land as one
-        append. Batch order is append order — identical to issuing the
-        scalar puts one at a time — so reads and memo semantics are
-        unchanged. The store keeps the columns it is handed: callers
-        must not mutate them afterwards.
+        This is the columnar write path for span execution: one service's
+        per-tick measurements over a span, one row per name in
+        ``metric_names``, all over the shared ``times`` column. The batch
+        is validated here (so a bad batch fails at the call that made
+        it, and leaves every series as it was) and buffered as one
+        ``(names, ticks)`` block until any series of the group is next
+        read, when the whole group lands. Batch order is append order —
+        identical to issuing the scalar puts one at a time — so reads and
+        memo semantics are unchanged. The store keeps the times column
+        it is handed: callers must not mutate it afterwards.
         """
-        key = (namespace, metric_name, _dimension_key(dimensions))
+        metric_names = tuple(metric_names)
         count = len(times)
-        if count != len(values):
-            raise MonitoringError(
-                f"batch times/values must be equal length, "
-                f"got {count} and {len(values)} datapoints"
-            )
         try:
+            lengths = [len(row) for row in rows]
+            if len(lengths) != len(metric_names) or lengths.count(count) != len(lengths):
+                raise MonitoringError(
+                    f"batch needs one row of {count} datapoints per metric name, got "
+                    f"{len(metric_names)} names and rows of lengths {lengths}"
+                )
             times = self._times_column(times)
-            values = np.asarray(values, dtype=np.float64)
-            if values.ndim != 1:
-                raise ValueError(f"values have shape {values.shape}")
+            block = np.asarray(rows, dtype=np.float64)
+            if block.ndim != 2:
+                raise ValueError(f"rows have shape {block.shape}")
         except (ValueError, TypeError) as exc:
             raise MonitoringError(
-                f"batch times/values must be flat numeric columns: {exc}"
+                f"batch times/rows must be flat numeric columns: {exc}"
             ) from None
-        # Touching the defaultdict creates the (empty) series eagerly,
-        # so existence checks and list_metrics behave as if the batch
-        # had landed.
-        series = self._series[key]
-        if count == 0:
+        group = (namespace, metric_names, _dimension_key(dimensions))
+        entry = self._groups.get(group)
+        if entry is None:
+            entry = self._open(group, times[0] if count else None)
+        if not count:
             return
-        parts = self._pending.get(key)
-        tail = parts[-1][0][-1] if parts else series.times[-1] if len(series) else None
+        tail = entry[2]
         if tail is not None and times[0] < tail:
             raise MonitoringError(
                 f"metric datapoints must be time-ordered: "
                 f"got t={int(times[0])} after t={int(tail)}"
             )
-        if parts is None:
-            self._pending[key] = [(times, values)]
-        else:
-            parts.append((times, values))
+        entry[1].append((times, block))
+        entry[2] = times[-1]
+
+    def _open(self, group: tuple, first) -> list:
+        """Open ``group``, closing any other group holding one of its
+        series; ``first`` (``None`` for an empty batch) is checked
+        against each member's own tail before any series is created."""
+        namespace, metric_names, dims = group
+        if len(set(metric_names)) != len(metric_names):
+            raise MonitoringError(f"batch metric names must be distinct, got {metric_names}")
+        keys = [(namespace, name, dims) for name in metric_names]
+        tail = None
+        for key in keys:
+            self._close(self._group_of.get(key))
+            series = self._series.get(key)
+            if series is not None and series._len:
+                last = series._times[series._len - 1]
+                if first is not None and first < last:
+                    raise MonitoringError(
+                        f"metric datapoints must be time-ordered: got "
+                        f"t={int(first)} after t={int(last)} in {key[0]}/{key[1]}"
+                    )
+                if tail is None or last > tail:
+                    tail = last
+        # Touching the defaultdict creates the (empty) series eagerly,
+        # so existence checks and list_metrics behave as if the batch
+        # had landed.
+        entry = self._groups[group] = [[self._series[key] for key in keys], [], tail]
+        for key in keys:
+            self._group_of[key] = group
+        return entry
+
+    def _close(self, group: tuple | None) -> None:
+        """Land ``group``'s blocks and close it (no-op if not open)."""
+        entry = self._groups.pop(group, None)
+        if entry is not None:
+            self._land(entry)
 
     def _times_column(self, times: Sequence[int]) -> np.ndarray:
         """``times`` as a flat, time-ordered ``int64`` column.
 
-        A service writes every series of one span over the same times
-        column, so the last column checked is memoized by identity and
-        the conversion and ordering check run once per emission, not
-        once per series.
+        A flow writes every service's block of one span over the same
+        times column, so the last column checked is memoized by identity
+        and the conversion and ordering check run once per commit, not
+        once per service.
         """
         if times is self._times_source:
             return self._times_checked
@@ -352,31 +393,33 @@ class SimCloudWatch:
     def flush_pending(self, key: tuple | None = None) -> None:
         """Land deferred batch writes (no-op when nothing is pending).
 
-        With ``key``, only that series flushes — the read paths use
-        this so a sensor polling one metric does not force every other
-        buffered series to materialise mid-run; unread series keep
-        accumulating parts and land as one extend when the run drains.
-
-        Batches flush per series in put order, concatenated into one
-        :meth:`_Series.extend`, so the stored columns match issuing
-        every datapoint as a scalar put.
+        With ``key``, only the group holding that series lands — the
+        read paths use this so a sensor polling one service's metric
+        does not land every other group mid-run.
         """
-        if not self._pending:
+        if key is None:
+            for entry in self._groups.values():
+                self._land(entry)
             return
-        if key is not None:
-            parts = self._pending.pop(key, None)
-            if parts is None:
-                return
-            pending = {key: parts}
+        entry = self._groups.get(self._group_of.get(key))
+        if entry is not None:
+            self._land(entry)
+
+    @staticmethod
+    def _land(entry: list) -> None:
+        """Append an open group's blocks to its series, in put order,
+        one :meth:`_Series.extend` per series, and drop the blocks."""
+        members, parts = entry[0], entry[1]
+        if not parts:
+            return
+        entry[1] = []
+        if len(parts) == 1:
+            times, block = parts[0]
         else:
-            pending, self._pending = self._pending, {}
-        for key, parts in pending.items():
-            if len(parts) == 1:
-                times, values = parts[0]
-            else:
-                times = np.concatenate([p[0] for p in parts])
-                values = np.concatenate([p[1] for p in parts])
-            self._series[key].extend(times, values)
+            times = np.concatenate([part[0] for part in parts])
+            block = np.concatenate([part[1] for part in parts], axis=1)
+        for series, row in zip(members, block):
+            series.extend(times, row)
 
     # ------------------------------------------------------------------
     # Reading
@@ -458,7 +501,7 @@ class SimCloudWatch:
         """
         validate_statistic(statistic)
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self._pending:
+        if self._groups:
             self.flush_pending(key)
         if key not in self._series:
             if default is None:
@@ -506,7 +549,7 @@ class SimCloudWatch:
         allow_missing: bool = False,
     ) -> _Series | None:
         key = (namespace, metric_name, _dimension_key(dimensions))
-        if self._pending:
+        if self._groups:
             self.flush_pending(key)
         if key not in self._series:
             if allow_missing:
@@ -521,7 +564,7 @@ class SimCloudWatch:
         metric_name: str,
         dimensions: dict[str, str] | None,
     ) -> _Series:
-        if self._pending:
+        if self._groups:
             self.flush_pending(key)
         if key not in self._series:
             self._raise_unknown(namespace, metric_name, dimensions)

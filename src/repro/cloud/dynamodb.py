@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import CapacityError, ConfigurationError, TransientAPIError
 from repro.simulation.clock import SimClock
 
@@ -475,24 +477,27 @@ class SimDynamoDBTable:
     ) -> None:
         """Columnar :meth:`emit_metrics` for a whole span of ticks.
 
-        Provisioned capacities are constant inside a span (a pending
-        update completing is a span boundary), so they arrive as scalars
-        and broadcast per tick. Throttle-episode tracking replays tick
-        by tick — write then read per tick, matching the per-tick loop —
-        when a bus is attached.
+        One store call. Provisioned capacities are constant inside a
+        span (a pending update completing is a span boundary), so they
+        arrive as scalars and land as filled rows. Throttle-episode
+        tracking replays tick by tick — write then read per tick,
+        matching the per-tick loop — when a bus is attached.
         """
-        dims = self._dims_key
-        batch = cloudwatch.put_metric_data_batch
         count = len(times)
-        batch(NAMESPACE, "ConsumedWriteCapacityUnits", times, consumed, dims)
-        batch(NAMESPACE, "WriteThrottleEvents", times, throttled, dims)
-        batch(NAMESPACE, "ProvisionedWriteCapacityUnits", times, [write_capacity] * count, dims)
-        batch(NAMESPACE, "WriteUtilization", times, utilization, dims)
-        batch(NAMESPACE, "BurstBalance", times, burst, dims)
-        batch(NAMESPACE, "ConsumedReadCapacityUnits", times, read_consumed, dims)
-        batch(NAMESPACE, "ReadThrottleEvents", times, read_throttled, dims)
-        batch(NAMESPACE, "ProvisionedReadCapacityUnits", times, [read_capacity] * count, dims)
-        batch(NAMESPACE, "ReadUtilization", times, read_utilization, dims)
+        cloudwatch.put_metric_data_batch(
+            NAMESPACE,
+            ("ConsumedWriteCapacityUnits", "WriteThrottleEvents",
+             "ProvisionedWriteCapacityUnits", "WriteUtilization", "BurstBalance",
+             "ConsumedReadCapacityUnits", "ReadThrottleEvents",
+             "ProvisionedReadCapacityUnits", "ReadUtilization"),
+            times,
+            (consumed, throttled,
+             np.full(count, write_capacity),
+             utilization, burst, read_consumed, read_throttled,
+             np.full(count, read_capacity),
+             read_utilization),
+            self._dims_key,
+        )
         if self._bus is not None:
             # A fully quiet span with no episode open in either
             # dimension replays to nothing — skip the per-tick loop.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import CapacityError, ConfigurationError
 from repro.simulation.clock import SimClock
 
@@ -436,22 +438,23 @@ class SimKinesisStream:
 
         The caller (the pipeline's span executor) computed the per-tick
         columns with the exact per-tick arithmetic; this method lands
-        them as batch appends — same values, same append order, one
-        series-version bump per metric per span — and replays the
+        them in one store call — same values, same append order, the
+        span-constant shard count as a filled row — and replays the
         throttle-episode tracking tick by tick when a bus is attached.
         Tick counters are assumed already folded into the columns, so
         unlike :meth:`emit_metrics` there is nothing to reset here.
         """
-        dims = self._dims_key
-        batch = cloudwatch.put_metric_data_batch
-        batch(NAMESPACE, "IncomingRecords", times, accepted, dims)
-        batch(NAMESPACE, "IncomingBytes", times, accepted_bytes, dims)
-        batch(NAMESPACE, "WriteProvisionedThroughputExceeded", times, throttled, dims)
-        batch(NAMESPACE, "GetRecords.Records", times, read, dims)
-        batch(NAMESPACE, "ShardCount", times, [shard_count] * len(times), dims)
-        batch(NAMESPACE, "WriteUtilization", times, utilization, dims)
-        batch(NAMESPACE, "BacklogRecords", times, backlog, dims)
-        batch(NAMESPACE, "MillisBehindLatest", times, lag_ms, dims)
+        cloudwatch.put_metric_data_batch(
+            NAMESPACE,
+            ("IncomingRecords", "IncomingBytes", "WriteProvisionedThroughputExceeded",
+             "GetRecords.Records", "ShardCount", "WriteUtilization", "BacklogRecords",
+             "MillisBehindLatest"),
+            times,
+            (accepted, accepted_bytes, throttled, read,
+             np.full(len(times), shard_count),
+             utilization, backlog, lag_ms),
+            self._dims_key,
+        )
         if self._bus is not None:
             # A fully quiet span with no episode open replays to
             # nothing: every track() call would be a no-op, so skip

@@ -407,15 +407,19 @@ class SimStormCluster:
     ) -> None:
         """Columnar :meth:`emit_metrics` for a whole span of ticks.
 
-        VM counts are constant inside a span (any change is a span
-        boundary), so they arrive as scalars and broadcast per tick.
+        One store call. VM counts are constant inside a span (any change
+        is a span boundary), so they arrive as scalars and land as
+        filled rows.
         """
-        dims = self._dims_key
-        batch = cloudwatch.put_metric_data_batch
         count = len(times)
-        batch(NAMESPACE, "CPUUtilization", times, cpu, dims)
-        batch(NAMESPACE, "ProcessedRecords", times, processed, dims)
-        batch(NAMESPACE, "PendingTuples", times, pending, dims)
-        batch(NAMESPACE, "RunningVMs", times, [running_vms] * count, dims)
-        batch(NAMESPACE, "ProvisionedVMs", times, [provisioned_vms] * count, dims)
-        batch(NAMESPACE, "EmittedWrites", times, writes, dims)
+        cloudwatch.put_metric_data_batch(
+            NAMESPACE,
+            ("CPUUtilization", "ProcessedRecords", "PendingTuples", "RunningVMs",
+             "ProvisionedVMs", "EmittedWrites"),
+            times,
+            (cpu, processed, pending,
+             np.full(count, running_vms),
+             np.full(count, provisioned_vms),
+             writes),
+            self._dims_key,
+        )

@@ -25,8 +25,10 @@ bit for bit — and spans. In a span run the executor
 
 Both paths start from ``_FlowPipeline.hoist_capacities`` (the one
 place that owns the capacity call order, hence where pending changes
-ripen and publish their bus events) and end in
-``_FlowPipeline.commit_span`` (metric emission and costs).
+ripen and publish their bus events) and return their metric columns;
+the executor concatenates a sub-span's parts and calls
+``_FlowPipeline.commit_span`` (metric emission and costs) once per
+sub-span, one store call per service.
 
 The equivalence argument (the *span* and *fleet execution contracts*,
 DESIGN.md):
@@ -45,8 +47,9 @@ DESIGN.md):
   draws.
 
 Metrics land through the cloudwatch store's deferred batch path
-(flushed on first read, so controllers and snapshots observe exactly
-what per-tick puts would have stored). A sub-span's columns are always
+(a service's group of series lands on the first read of any of them,
+so controllers and snapshots observe exactly what per-tick puts would
+have stored). A sub-span's columns are always
 drawn *before* the viability decision: the workload columns from
 ``generate_span`` and, as a fourth column, the dashboard read units
 (one batched Poisson draw on the flow's read stream, ``None`` without
@@ -122,21 +125,6 @@ class FleetSpanExecutor:
             for _, other in self._flows[:i]:
                 if pipeline.generator.adopt_distinct_cache(other.generator):
                     break
-        # Shared all-zero columns per sub-span length: every flow's
-        # viable sub-span emits several identically-zero series
-        # (throttles, backlogs, lag), and the store never mutates
-        # emitted columns, so one array per length serves them all.
-        self._zeros: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _zero_columns(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._zeros.get(count)
-        if cached is None:
-            cached = (
-                np.zeros(count, dtype=np.int64),
-                np.zeros(count, dtype=np.float64),
-            )
-            self._zeros[count] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Engine component protocol
@@ -209,7 +197,8 @@ class FleetSpanExecutor:
         and bounded scalar chunks fed the same pre-drawn columns. Each
         path hoists the capacities itself; they are constant across the
         sub-span by construction (it is bounded by the flow's own next
-        capacity event).
+        capacity event), so the parts' columns concatenate into one
+        commit that meters and emits exactly what per-part commits would.
         """
         dt = clock.tick_seconds
         t = clock.now
@@ -223,6 +212,7 @@ class FleetSpanExecutor:
         offset = 0
         chunk = self._SCALAR_CHUNK
         shim = _SpanClock(t, dt)
+        parts = []
         while t < span_end:
             remaining = (span_end - t) // dt
             if not (
@@ -233,20 +223,25 @@ class FleetSpanExecutor:
                 or stream._buffer_bytes
                 or cluster._pending_records
             ):
-                consumed = self._vector_prefix(
+                part = self._vector_prefix(
                     p, t, dt, _slice(columns, offset, offset + remaining)
                 )
-                if consumed:
+                if part is not None:
+                    consumed = len(part[1])
+                    parts.append(part)
                     t += consumed * dt
                     offset += consumed
                     chunk = self._SCALAR_CHUNK
                     continue
             step = chunk if chunk < remaining else remaining
             shim.now = t
-            p.run_span(shim, t + step * dt, _slice(columns, offset, offset + step))
+            parts.append(
+                p.run_span(shim, t + step * dt, _slice(columns, offset, offset + step))
+            )
             t += step * dt
             offset += step
             chunk *= 2
+        p.commit_span(*_join(parts), total * dt)
 
     @staticmethod
     def _draw_reads(p: _FlowPipeline, first_tick: int, count: int, dt: int) -> list | None:
@@ -266,7 +261,9 @@ class FleetSpanExecutor:
             lam = np.clip(lam, 0.0, None)
         return p._read_rng.poisson(lam).tolist()
 
-    def _vector_prefix(self, p: _FlowPipeline, now: int, dt: int, columns: tuple) -> int:
+    def _vector_prefix(
+        self, p: _FlowPipeline, now: int, dt: int, columns: tuple
+    ) -> tuple | None:
         """Run the longest closed-form prefix of quiet ticks.
 
         A tick is *quiet* when its draws clear every hoisted cap:
@@ -284,9 +281,10 @@ class FleetSpanExecutor:
           that tick included, so the cluster RNG stops exactly at its
           flush Poisson.
 
-        Returns the number of ticks consumed, 0 when the very first
-        tick is not quiet (the caller then runs a scalar chunk).
-        Assumes the recurrence state is empty on entry.
+        Returns the prefix's commit part (see ``_FlowPipeline.run_span``),
+        ``None`` when the very first tick is not quiet (the caller then
+        runs a scalar chunk). Assumes the recurrence state is empty on
+        entry.
         """
         records_col, payload_col, distinct_col, reads_col = columns
         n = count = len(records_col)
@@ -314,7 +312,7 @@ class FleetSpanExecutor:
         if violating.any():
             count = int(np.argmax(violating))
             if count == 0:
-                return 0
+                return None
 
         # Analytics window walk. Flush boundaries partition the span
         # into the exact segments the scalar loop draws its CPU-noise
@@ -413,7 +411,8 @@ class FleetSpanExecutor:
 
         # --- Closed-form columns -------------------------------------
         times = np.arange(first_tick, now + count * dt + dt, dt, dtype=np.int64)
-        zeros_i, zeros_f = self._zero_columns(count)
+        zeros_i = np.zeros(count, dtype=np.int64)
+        zeros_f = np.zeros(count)
         if caps.vms > 0:
             if analytics_cap > 0:
                 s_cpu = cluster.config.cpu_idle_percent + (
@@ -476,15 +475,32 @@ class FleetSpanExecutor:
         cluster._tick_writes_emitted = flush_writes.get(count - 1, 0)
         table._burst_bucket = float(b)
 
-        p.commit_span(
+        return (
             caps, times,
             (records, payload, zeros_i, records, k_util, zeros_i, zeros_f),
             (s_cpu, records, zeros_i, s_writes),
             (d_consumed, d_throttled, d_util, d_burst,
              d_read_consumed, zeros_i, d_read_util),
-            span_accepted, count * dt,
+            span_accepted,
         )
-        return count
+
+
+def _join(parts: list[tuple]) -> tuple:
+    """One commit from a sub-span's parts, columns concatenated in order.
+
+    Each service's columns join as one float64 ``(columns, ticks)``
+    block, the dtype the store keeps them in; counts are integers below
+    2**53, so the throttle replay reads them back exactly. Every part
+    hoisted the same capacities; a lone part passes through untouched.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    services = [
+        np.concatenate([np.array(part[i], dtype=np.float64) for part in parts], axis=1)
+        for i in (2, 3, 4)
+    ]
+    times = np.concatenate([part[1] for part in parts])
+    return (parts[0][0], times, *services, sum(part[5] for part in parts))
 
 
 def _slice(columns: tuple, start: int, stop: int) -> tuple:

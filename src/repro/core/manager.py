@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.chaos.injector import ChaosEvent, ChaosInjector
 from repro.chaos.invariants import InvariantChecker, InvariantReport
 from repro.chaos.schedule import ChaosSchedule
@@ -313,15 +315,16 @@ class _FlowPipeline:
         span_accepted: int,
         span_seconds: int,
     ) -> None:
-        """Emit a span's metric columns and meter its spend.
+        """Emit a sub-span's metric columns and meter its spend.
 
-        The shared tail of both span paths. ``kinesis``, ``storm`` and
+        Called once per sub-span with the columns of every part the
+        executor ran in it, concatenated. ``kinesis``, ``storm`` and
         ``storage`` are each service's per-tick columns in its
         ``emit_metrics_span`` order; the values and the append order are
         what per-tick ``emit_metrics`` calls would produce. Every accrued
-        quantity is an integer constant across the span, so one accrue
-        over the whole span sums exactly (integer-valued float adds below
-        2**53 are exact); usage volumes are ints and sum exactly too.
+        quantity is an integer constant across the sub-span, so one
+        accrue over all of it sums exactly (integer-valued float adds
+        below 2**53 are exact); usage volumes are ints and sum exactly.
         """
         cloudwatch = self.cloudwatch
         self.stream.emit_metrics_span(cloudwatch, times, *kinesis, caps.shards)
@@ -338,7 +341,7 @@ class _FlowPipeline:
         meters["storage"].accrue(caps.write_units, span_seconds)
         meters["storage_reads"].accrue(caps.read_units, span_seconds)
 
-    def run_span(self, clock: SimClock, span_end: int, columns) -> None:
+    def run_span(self, clock: SimClock, span_end: int, columns) -> tuple:
         """Execute the ticks ``(clock.now, span_end]`` as one batch.
 
         The executor's scalar fallback, bit-identical to calling
@@ -346,9 +349,10 @@ class _FlowPipeline:
         constant across the span (that is what :meth:`span_horizon`
         guarantees), so every capacity lookup, dict build and method
         dispatch is hoisted out of the loop, RNG draws are batched per
-        stream in bitstream order, the backlog/throttle recurrence runs
-        over plain locals, and the per-tick metric values land as
-        columnar batch appends at the end of the span.
+        stream in bitstream order, and the backlog/throttle recurrence
+        runs over plain locals. Returns the leading arguments of
+        :meth:`commit_span`, ``(caps, times, kinesis, storm, storage,
+        span_accepted)``; the executor commits each sub-span once.
 
         ``columns`` are the ``(records, payload, distinct, reads)``
         columns the executor drew for these ticks: the first three
@@ -413,12 +417,10 @@ class _FlowPipeline:
         two_record_cap = 2 * record_cap
         two_write_cap = 2 * write_cap
 
-        times: list[int] = []
         k_accepted: list[int] = []
         k_accepted_bytes: list[int] = []
         k_throttled: list[int] = []
         k_read: list[int] = []
-        k_util: list[float] = []
         k_backlog: list[int] = []
         k_lag: list[float] = []
         s_cpu: list[float] = []
@@ -427,19 +429,15 @@ class _FlowPipeline:
         s_writes: list[int] = []
         d_consumed: list[int] = []
         d_throttled: list[int] = []
-        d_util: list[float] = []
         d_burst: list[float] = []
         d_read_consumed: list[int] = []
         d_read_throttled: list[int] = []
-        d_read_util: list[float] = []
-        # Bound-method locals: ~20 column appends per tick make the
+        # Bound-method locals: ~15 column appends per tick make the
         # attribute lookups measurable in this loop.
-        times_append = times.append
         k_accepted_append = k_accepted.append
         k_accepted_bytes_append = k_accepted_bytes.append
         k_throttled_append = k_throttled.append
         k_read_append = k_read.append
-        k_util_append = k_util.append
         k_backlog_append = k_backlog.append
         k_lag_append = k_lag.append
         s_cpu_append = s_cpu.append
@@ -448,19 +446,14 @@ class _FlowPipeline:
         s_writes_append = s_writes.append
         d_consumed_append = d_consumed.append
         d_throttled_append = d_throttled.append
-        d_util_append = d_util.append
         d_burst_append = d_burst.append
         d_read_consumed_append = d_read_consumed.append
         d_read_throttled_append = d_read_throttled.append
-        d_read_util_append = d_read_util.append
 
         cpu = cluster._tick_cpu
         processed = cluster._tick_processed
         writes = cluster._tick_writes_emitted
-        t = now
         for i in range(count):
-            t += dt
-            times_append(t)
             records = records_col[i]
             payload = payload_col[i]
 
@@ -584,7 +577,6 @@ class _FlowPipeline:
             k_accepted_bytes_append(accepted_bytes)
             k_throttled_append(throttled)
             k_read_append(handed)
-            k_util_append(100.0 * accepted / record_cap if record_cap else 0.0)
             k_backlog_append(buffer_records)
             tick_rate = accepted / dt
             smoothed_rate += alpha * (tick_rate - smoothed_rate)
@@ -598,11 +590,9 @@ class _FlowPipeline:
             s_writes_append(writes)
             d_consumed_append(write_accepted)
             d_throttled_append(excess)
-            d_util_append(100.0 * write_accepted / write_cap if write_cap else 0.0)
             d_burst_append(burst)
             d_read_consumed_append(read_accepted)
             d_read_throttled_append(read_excess)
-            d_read_util_append(100.0 * read_accepted / read_cap if read_cap else 0.0)
 
         # Write service state back.
         span_accepted = sum(k_accepted)
@@ -629,13 +619,22 @@ class _FlowPipeline:
         table._burst_bucket = burst
         table._read_burst_bucket = read_burst
 
-        self.commit_span(
+        # Times and utilizations elementwise, as the executor's vector
+        # prefix computes them: the same IEEE operations in the same order.
+        times = np.arange(now + dt, span_end + dt, dt, dtype=np.int64)
+        zeros = np.zeros(count)
+        k_util = (100.0 * np.asarray(k_accepted)) / record_cap if record_cap else zeros
+        d_util = (100.0 * np.asarray(d_consumed)) / write_cap if write_cap else zeros
+        d_read_util = (
+            (100.0 * np.asarray(d_read_consumed)) / read_cap if read_cap else zeros
+        )
+        return (
             caps, times,
             (k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog, k_lag),
             (s_cpu, s_processed, s_pending, s_writes),
             (d_consumed, d_throttled, d_util, d_burst,
              d_read_consumed, d_read_throttled, d_read_util),
-            span_accepted, count * dt,
+            span_accepted,
         )
 
 

@@ -312,3 +312,151 @@ class TestAlarms:
     def test_rejects_bad_evaluation_periods(self):
         with pytest.raises(MonitoringError):
             MetricAlarm("a", "NS", "M", threshold=1.0, evaluation_periods=0)
+
+
+class TestGroupedBatchWrites:
+    """``put_metric_data_batch`` writes a group of series in one call:
+    one shared times column, one row per metric name."""
+
+    NAMES = ("A", "B")
+
+    def test_names_rows_count_mismatch_rejected(self, cw):
+        with pytest.raises(MonitoringError, match=r"2 names and rows of lengths \[2\]"):
+            cw.put_metric_data_batch("NS", self.NAMES, [1, 2], ([1.0, 2.0],))
+
+    def test_row_length_mismatch_rejected(self, cw):
+        with pytest.raises(
+            MonitoringError, match=r"one row of 2 datapoints .* rows of lengths \[2, 3\]"
+        ):
+            cw.put_metric_data_batch("NS", self.NAMES, [1, 2], ([1.0, 2.0], [1.0, 2.0, 3.0]))
+
+    def test_non_flat_rows_rejected(self, cw):
+        with pytest.raises(MonitoringError, match=r"flat numeric columns: rows have shape \(2, 2, 1\)"):
+            cw.put_metric_data_batch("NS", self.NAMES, [1, 2], ([[1.0], [2.0]], [[3.0], [4.0]]))
+        with pytest.raises(MonitoringError, match="flat numeric columns"):
+            cw.put_metric_data_batch("NS", self.NAMES, [1], (1.0, 2.0))
+        assert cw.list_metrics() == []
+
+    def test_duplicate_names_rejected(self, cw):
+        with pytest.raises(MonitoringError, match="distinct"):
+            cw.put_metric_data_batch("NS", ("A", "A"), [1], ([1.0], [2.0]))
+
+    def test_order_checked_after_an_earlier_group_write(self, cw):
+        cw.put_metric_data_batch("NS", self.NAMES, [1, 3], ([1.0, 2.0], [3.0, 4.0]))
+        cw.put_metric_data_batch("NS", self.NAMES, [3, 4], ([5.0, 6.0], [7.0, 8.0]))
+        with pytest.raises(MonitoringError, match="got t=2 after t=4"):
+            cw.put_metric_data_batch("NS", self.NAMES, [2], ([0.0], [0.0]))
+
+    def test_order_checked_after_a_scalar_put(self, cw):
+        cw.put_metric_data_batch("NS", self.NAMES, [1, 2], ([1.0, 2.0], [3.0, 4.0]))
+        cw.put_metric_data("NS", "B", 9.0, 5)
+        with pytest.raises(MonitoringError, match="got t=4 after t=5 in NS/B"):
+            cw.put_metric_data_batch("NS", self.NAMES, [4], ([0.0], [0.0]))
+        # The scalar put is checked against the group's datapoints too.
+        with pytest.raises(MonitoringError, match="got t=1 after t=2"):
+            cw.put_metric_data("NS", "A", 0.0, 1)
+        cw.put_metric_data_batch("NS", self.NAMES, [5], ([0.5], [9.5]))
+        assert cw.get_series("NS", "B") == ([1, 2, 5, 5], [3.0, 4.0, 9.0, 9.5])
+
+    def test_order_checked_after_a_flush(self, cw):
+        cw.put_metric_data_batch("NS", self.NAMES, [1, 2], ([1.0, 2.0], [3.0, 4.0]))
+        assert cw.get_metric_value("NS", "A", now=2, window=2) == 1.5
+        with pytest.raises(MonitoringError, match="got t=1 after t=2"):
+            cw.put_metric_data_batch("NS", self.NAMES, [1], ([0.0], [0.0]))
+        cw.flush_pending()
+        with pytest.raises(MonitoringError, match="got t=0 after t=2"):
+            cw.put_metric_data_batch("NS", self.NAMES, [0], ([0.0], [0.0]))
+
+    def test_order_checked_across_overlapping_groups(self, cw):
+        cw.put_metric_data_batch("NS", ("A", "B"), [1, 5], ([1.0, 2.0], [3.0, 4.0]))
+        with pytest.raises(MonitoringError, match="got t=3 after t=5 in NS/B"):
+            cw.put_metric_data_batch("NS", ("B", "C"), [3], ([0.0], [0.0]))
+        assert ("NS", "C") not in cw.list_metrics()
+        cw.put_metric_data_batch("NS", ("B", "C"), [6], ([7.0], [8.0]))
+        assert cw.get_series("NS", "B") == ([1, 5, 6], [3.0, 4.0, 7.0])
+        assert cw.get_series("NS", "A") == ([1, 5], [1.0, 2.0])
+
+    def test_rejected_batch_leaves_every_series_intact(self, cw):
+        cw.put_metric_data_batch("NS", self.NAMES, [1, 2], ([1.0, 2.0], [3.0, 4.0]))
+        cw.put_metric_data_batch("NS", self.NAMES, [3], ([5.0], [6.0]))
+        for bad in (
+            ([2], ([0.0], [0.0])),            # before the group's tail
+            ([4, 3], ([0.0, 0.0], [0.0, 0.0])),  # disordered
+            ([4], ([0.0],)),                  # a row short
+            ([4], ([0.0], ["x"])),            # not numeric
+        ):
+            with pytest.raises(MonitoringError):
+                cw.put_metric_data_batch("NS", self.NAMES, *bad)
+        assert cw.get_series("NS", "A") == ([1, 2, 3], [1.0, 2.0, 5.0])
+        assert cw.get_series("NS", "B") == ([1, 2, 3], [3.0, 4.0, 6.0])
+
+    def test_read_of_one_member_lands_the_whole_group(self, cw):
+        cw.put_metric_data_batch("NS", ("A", "B", "C"), [1, 2], ([1.0, 2.0],) * 3)
+        cw.put_metric_data_batch("NS", ("A", "B", "C"), [3], ([3.0],) * 3)
+        cw.put_metric_data_batch("NS", ("D",), [1], ([4.0],))
+        stored = {name: len(cw._series[("NS", name, ())]) for name in "ABCD"}
+        assert stored == {"A": 0, "B": 0, "C": 0, "D": 0}
+        assert cw.get_metric_value("NS", "B", now=3, window=3, statistic="Sum") == 6.0
+        stored = {name: len(cw._series[("NS", name, ())]) for name in "ABCD"}
+        assert stored == {"A": 3, "B": 3, "C": 3, "D": 0}
+        # No block outlives its landing.
+        assert cw._groups[("NS", ("A", "B", "C"), ())][1] == []
+
+    def test_randomized_interleaving_matches_an_eager_store(self):
+        """Group writes, scalar puts and reads in random order read back
+        value for value what a store of eager scalar appends holds."""
+        rng = np.random.default_rng(2024)
+        cw = SimCloudWatch()
+        groups = [("A", "B", "C"), ("C", "D"), ("D",), ("E", "A")]
+        names = sorted({name for group in groups for name in group})
+        eager = {name: ([], []) for name in names}
+        t = 0
+        for _ in range(600):
+            op = rng.integers(0, 4)
+            if op == 0:
+                group = groups[rng.integers(0, len(groups))]
+                count = int(rng.integers(0, 6))
+                times = (t + np.cumsum(rng.integers(0, 2, size=count))).tolist()
+                rows = [rng.normal(0.0, 10.0, size=count).tolist() for _ in group]
+                tails = [eager[name][0][-1] for name in group if eager[name][0]]
+                if count and tails and rng.random() < 0.1:
+                    # Before some member's tail: rejected, nothing moves.
+                    late = [max(tails) - 1] + times[1:]
+                    with pytest.raises(MonitoringError, match="time-ordered"):
+                        cw.put_metric_data_batch("NS", group, late, rows)
+                    continue
+                cw.put_metric_data_batch("NS", group, times, rows)
+                for name, row in zip(group, rows):
+                    eager[name][0].extend(times)
+                    eager[name][1].extend(row)
+                if count:
+                    t = times[-1]
+            elif op == 1:
+                name = names[rng.integers(0, len(names))]
+                t += int(rng.integers(0, 2))
+                value = float(rng.normal())
+                cw.put_metric_data("NS", name, value, t)
+                eager[name][0].append(t)
+                eager[name][1].append(value)
+            else:
+                name = names[rng.integers(0, len(names))]
+                times, values = eager[name]
+                if not times:
+                    continue
+                if op == 2:
+                    assert cw.get_series("NS", name) == (times, values)
+                else:
+                    start = int(rng.integers(-2, t + 1))
+                    end = start + int(rng.integers(1, 12))
+                    period = int(rng.integers(1, 5))
+                    got = cw.get_metric_statistics("NS", name, start, end, period, "Sum")
+                    assert got == _brute_statistics(times, values, start, end, period, "Sum")
+                    window = _brute_window(times, values, end - period, end)
+                    want = _aggregate(window, "Average") if window else -1.0
+                    assert cw.get_metric_value(
+                        "NS", name, now=end, window=period, default=-1.0
+                    ) == want
+            t += int(rng.integers(0, 2))
+        cw.flush_pending()
+        for name in names:
+            assert cw.get_series("NS", name) == eager[name]

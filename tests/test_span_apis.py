@@ -103,7 +103,7 @@ class TestColumnarMetricWrites:
         scalar = SimCloudWatch()
         times = [1, 2, 2, 5]
         values = [1.5, -2.0, 0.0, 7.25]
-        batched.put_metric_data_batch("NS", "M", times, values, {"d": "x"})
+        batched.put_metric_data_batch("NS", ("M",), times, (values,), {"d": "x"})
         for t, v in zip(times, values):
             scalar.put_metric_data("NS", "M", v, t, {"d": "x"})
         a = batched.get_series("NS", "M", {"d": "x"})
@@ -113,16 +113,16 @@ class TestColumnarMetricWrites:
     def test_length_mismatch_rejected(self):
         cw = SimCloudWatch()
         with pytest.raises(
-            MonitoringError, match=r"equal length, got 2 and 3 datapoints"
+            MonitoringError, match=r"one row of 2 datapoints .* 1 names and rows of lengths \[3\]"
         ):
-            cw.put_metric_data_batch("NS", "M", [1, 2], [1.0, 2.0, 3.0])
+            cw.put_metric_data_batch("NS", ("M",), [1, 2], ([1.0, 2.0, 3.0],))
 
     def test_disordered_batch_rejected(self):
         cw = SimCloudWatch()
         with pytest.raises(
             MonitoringError, match=r"time-ordered: got t=3 after t=4"
         ):
-            cw.put_metric_data_batch("NS", "M", [1, 4, 3], [0.0, 0.0, 0.0])
+            cw.put_metric_data_batch("NS", ("M",), [1, 4, 3], ([0.0, 0.0, 0.0],))
 
     def test_batch_before_existing_tail_rejected(self):
         cw = SimCloudWatch()
@@ -130,32 +130,34 @@ class TestColumnarMetricWrites:
         with pytest.raises(
             MonitoringError, match=r"time-ordered: got t=9 after t=10"
         ):
-            cw.put_metric_data_batch("NS", "M", [9, 11], [0.0, 0.0])
+            cw.put_metric_data_batch("NS", ("M",), [9, 11], ([0.0, 0.0],))
 
     def test_non_flat_columns_rejected(self):
         cw = SimCloudWatch()
         with pytest.raises(MonitoringError, match="flat numeric columns"):
-            cw.put_metric_data_batch("NS", "M", [[1, 2]], [[0.0, 0.0]])
+            cw.put_metric_data_batch("NS", ("M",), [[1, 2]], ([[0.0, 0.0]],))
 
     def test_rejected_batch_leaves_series_intact(self):
         cw = SimCloudWatch()
-        cw.put_metric_data_batch("NS", "M", [1, 2], [1.0, 2.0])
+        cw.put_metric_data_batch("NS", ("M",), [1, 2], ([1.0, 2.0],))
         with pytest.raises(MonitoringError):
-            cw.put_metric_data_batch("NS", "M", [5, 4], [0.0, 0.0])
+            cw.put_metric_data_batch("NS", ("M",), [5, 4], ([0.0, 0.0],))
         assert cw.get_series("NS", "M") == ([1, 2], [1.0, 2.0])
         # And the series still accepts well-formed data afterwards.
-        cw.put_metric_data_batch("NS", "M", [6], [3.0])
+        cw.put_metric_data_batch("NS", ("M",), [6], ([3.0],))
         assert cw.get_series("NS", "M") == ([1, 2, 6], [1.0, 2.0, 3.0])
 
     def test_empty_batch_is_noop(self):
         cw = SimCloudWatch()
-        cw.put_metric_data_batch("NS", "M", [], [])
+        cw.put_metric_data_batch("NS", ("M",), [], ([],))
         assert cw.list_metrics() == [("NS", "M")]
         assert cw.get_series("NS", "M") == ([], [])
 
     def test_batch_values_round_trip_as_builtins(self):
         cw = SimCloudWatch()
-        cw.put_metric_data_batch("NS", "M", np.array([1, 2]), np.array([0.5, 1.5]))
+        cw.put_metric_data_batch(
+            "NS", ("M",), np.array([1, 2]), (np.array([0.5, 1.5]),)
+        )
         times, values = cw.get_series("NS", "M")
         assert all(type(t) is int for t in times)
         assert all(type(v) is float for v in values)

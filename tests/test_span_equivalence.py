@@ -22,12 +22,17 @@ import random
 import pytest
 
 from repro.chaos import ChaosSchedule, FaultKind, FaultSpec
+from repro.cloud import SimCloudWatch
+from repro.cloud.dynamodb import DynamoDBConfig
 from repro.cloud.storm import BoltSpec, TopologyConfig
 from repro.core import fleet_exec
 from repro.core.builder import FlowBuilder
+from repro.core.fleet import FleetFlowSpec, RegionFleetManager
 from repro.core.flow import LayerKind
 from repro.core.manager import _FlowPipeline
-from repro.workload.generators import ConstantRate, SinusoidalRate, StepRate
+from repro.observability import FlightRecorder
+from repro.observability.export import write_jsonl
+from repro.workload.generators import ConstantRate, FlashCrowdRate, SinusoidalRate, StepRate
 
 
 def _raw_metrics(result):
@@ -545,3 +550,128 @@ class TestQuietPrefixCutPoints:
         assert_equivalent(reference, spanned)
         assert sum(_series(reference, "AWS/DynamoDB", "ConsumedReadCapacityUnits")[1]) > 0
         assert calls == []
+
+
+class TestOneCommitPerSubSpan:
+    """The executor commits each flow's sub-span once — one
+    ``commit_span``, one store call per service — however often its
+    path alternates between vector prefixes and scalar chunks."""
+
+    @staticmethod
+    def _burst_flow():
+        # 800 records/s on a 2,000 records/s stream with a short flash
+        # crowd over the cap at t=125, then dashboard reads bursting past
+        # a 2 s read bucket at t=158: a Kinesis and then a DynamoDB
+        # throttle episode open and close inside the sub-span (120, 180].
+        return (
+            FlowBuilder("burst", seed=4)
+            .ingestion(shards=2)
+            .analytics(vms=4)
+            .storage(write_units=300, config=DynamoDBConfig(burst_seconds=2))
+            .workload(ConstantRate(800) + FlashCrowdRate(3000, at=125, rise_seconds=5,
+                                                         decay_seconds=8))
+            .reads(ConstantRate(20) + FlashCrowdRate(600, at=158, rise_seconds=3,
+                                                     decay_seconds=5), read_units=100)
+        )
+
+    @staticmethod
+    def _log_paths(monkeypatch):
+        """Log ``("sub", now)``, ``"V"`` (a vector prefix that ran),
+        ``"S"`` (a scalar chunk) and ``"C"`` (a commit) in call order."""
+        log = []
+
+        def wrap(owner, name, record):
+            original = getattr(owner, name)
+
+            def logged(self, *args):
+                result = original(self, *args)
+                entry = record(args, result)
+                if entry is not None:
+                    log.append(entry)
+                return result
+
+            monkeypatch.setattr(owner, name, logged)
+
+        original_sub = fleet_exec.FleetSpanExecutor._run_sub_span
+
+        def sub(self, p, clock, span_end):
+            log.append(("sub", clock.now))
+            return original_sub(self, p, clock, span_end)
+
+        monkeypatch.setattr(fleet_exec.FleetSpanExecutor, "_run_sub_span", sub)
+        wrap(fleet_exec.FleetSpanExecutor, "_vector_prefix",
+             lambda args, part: None if part is None else "V")
+        wrap(_FlowPipeline, "run_span", lambda args, part: "S")
+        wrap(_FlowPipeline, "commit_span", lambda args, result: "C")
+        return log
+
+    def test_alternating_sub_span_commits_once(self, monkeypatch, tmp_path):
+        log = self._log_paths(monkeypatch)
+        reference, spanned = run_pair(self._burst_flow, 600, events=True)
+        assert_equivalent(reference, spanned, events=True)
+        paths = {}
+        for entry in log:
+            if isinstance(entry, tuple):
+                now = entry[1]
+                paths[now] = ""
+            else:
+                paths[now] += entry
+        assert all(path.count("C") == 1 and path.endswith("C") for path in paths.values())
+        burst = paths[120]
+        assert "VS" in burst and burst.rindex("V") > burst.index("S"), burst
+
+        # The throttle episodes replayed over the sub-span's concatenated
+        # columns equal the per-tick run's, byte for byte once exported
+        # (the two episodes do not overlap, so even the bus sequence
+        # numbers agree), with builtin ints in every payload.
+        span_events = spanned.recorder.bus.events
+        assert [(e.time, e.layer, e.kind) for e in span_events] == [
+            (127, "ingestion", "throttle"), (151, "ingestion", "throttle.end"),
+            (160, "storage", "throttle"), (172, "storage", "throttle.end"),
+        ]
+        assert all(
+            type(value) is int
+            for e in span_events for key, value in e.payload.items() if key != "dimension"
+        )
+        write_jsonl(tmp_path / "span.jsonl", events=span_events)
+        write_jsonl(tmp_path / "tick.jsonl", events=reference.recorder.bus.events)
+        assert (tmp_path / "span.jsonl").read_bytes() == (tmp_path / "tick.jsonl").read_bytes()
+
+    def test_fleet_store_calls_per_commit(self, monkeypatch):
+        """Guard: store writes = 3 x commits, commits = sub-spans, and no
+        write bypasses the grouped batch call."""
+        counts = dict.fromkeys(
+            ("sub", "commit", "batch", "scalar_put", "scalar_chunk"), 0
+        )
+
+        def count(owner, name, tag):
+            original = getattr(owner, name)
+
+            def counted(self, *args, **kwargs):
+                counts[tag] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(fleet_exec.FleetSpanExecutor, "_run_sub_span", "sub")
+        count(_FlowPipeline, "commit_span", "commit")
+        count(_FlowPipeline, "run_span", "scalar_chunk")
+        count(SimCloudWatch, "put_metric_data_batch", "batch")
+        count(SimCloudWatch, "put_metric_data", "scalar_put")
+        flows = [
+            FleetFlowSpec(
+                name=f"flow{i}",
+                workload=ConstantRate(900 + 300 * i)
+                + FlashCrowdRate(4000, at=200 + 300 * i, rise_seconds=10, decay_seconds=30),
+                manager_kwargs={"recorder": FlightRecorder()},
+            )
+            for i in range(2)
+        ]
+        fleet = RegionFleetManager(flows, seed=5)
+        fleet.run(1200)
+        assert fleet.engine.last_run_used_spans
+        assert counts["scalar_chunk"] > 0, "no sub-span left the vector path"
+        assert counts["sub"] >= 2 * 1200 // 60
+        assert counts["commit"] == counts["sub"]
+        assert counts["batch"] == 3 * counts["commit"]
+        assert counts["scalar_put"] == 0
