@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.errors import CapacityError, ConfigurationError
+from repro.core.errors import CapacityError, ConfigurationError, SimulationError
 
 
 class InstanceState(Enum):
@@ -86,7 +86,12 @@ class SimEC2Fleet:
     #: shift surfaces as a rebalance, pinning the rebalance event onto
     #: the decision (or fault) that caused it.
     last_change_trace: str | None = field(default=None, init=False)
+    #: Live instances only: a termination always happens at the
+    #: caller's current time, and the instance leaves this list then.
     _instances: list[Instance] = field(default_factory=list, init=False)
+    #: The latest termination; queries about earlier times are refused,
+    #: since the instances terminated since then are gone.
+    _terminated_until: int = field(default=0, init=False)
     _ids: "itertools.count[int]" = field(default_factory=itertools.count, init=False)
     # Region-level accounting (multi-flow runs only; see cloud/region.py).
     _region: object | None = field(default=None, init=False)
@@ -121,43 +126,39 @@ class SimEC2Fleet:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _live(self, now: int) -> list[Instance]:
+        """Instances not terminated at ``now`` (the list itself)."""
+        if now < self._terminated_until:
+            raise SimulationError(
+                f"fleet queried at t={now}, before its latest termination at "
+                f"t={self._terminated_until}"
+            )
+        return self._instances
+
     def instances(self, now: int, state: InstanceState | None = None) -> list[Instance]:
-        live = [i for i in self._instances if i.state(now) != InstanceState.TERMINATED]
+        live = self._live(now)
         if state is None:
-            return live
+            return list(live)
         return [i for i in live if i.state(now) == state]
 
     def running_count(self, now: int) -> int:
         """Instances actually serving load at ``now``."""
-        return len(self.instances(now, InstanceState.RUNNING))
+        return len([i for i in self._live(now) if now >= i.ready_at])
 
     def provisioned_count(self, now: int) -> int:
         """Instances launched or booting (the actuator's set-point view)."""
-        return len(self.instances(now))
+        return len(self._live(now))
 
     def billable_count(self, now: int) -> int:
-        return sum(1 for i in self._instances if i.billable(now))
+        return len([i for i in self._live(now) if now >= i.launched_at])
 
     def next_capacity_event(self, now: int) -> int | None:
-        """Earliest future time the running-instance count will change.
-
-        The span scheduler's horizon: the next boot completing
-        (``ready_at``) or, defensively, a termination scheduled in the
-        future (the built-in actuators terminate at the current time,
-        so in practice only boots appear here). ``None`` when the fleet
-        is stable past ``now``.
-        """
-        best: int | None = None
-        for instance in self._instances:
-            terminated_at = instance.terminated_at
-            if terminated_at is not None and terminated_at <= now:
-                continue
-            if instance.ready_at > now and (best is None or instance.ready_at < best):
-                best = instance.ready_at
-            if terminated_at is not None and terminated_at > now:
-                if best is None or terminated_at < best:
-                    best = terminated_at
-        return best
+        """Earliest future time the running-instance count will change:
+        the next boot completing (``ready_at``), the span scheduler's
+        horizon. Terminations happen at the caller's current time, so
+        none lies in the future. ``None`` when the fleet is stable past
+        ``now``."""
+        return min((i.ready_at for i in self._live(now) if i.ready_at > now), default=None)
 
     # ------------------------------------------------------------------
     # Scaling
@@ -168,15 +169,19 @@ class SimEC2Fleet:
 
         Returns False if the instance is unknown or already terminated.
         """
-        for instance in self._instances:
+        for instance in self._live(now):
             if instance.instance_id == instance_id:
-                if instance.state(now) == InstanceState.TERMINATED:
-                    return False
-                instance.terminated_at = now
-                if self._region is not None:
-                    self._region.note_capacity_change()
+                self._terminate([instance], now)
                 return True
         return False
+
+    def _terminate(self, victims: list[Instance], now: int) -> None:
+        for victim in victims:
+            victim.terminated_at = now
+            self._instances.remove(victim)
+        self._terminated_until = now
+        if self._region is not None:
+            self._region.note_capacity_change()
 
     def set_desired(self, desired: int, now: int) -> int:
         """Scale the fleet toward ``desired`` instances.
@@ -203,8 +208,5 @@ class SimEC2Fleet:
             victims = sorted(
                 self.instances(now), key=lambda i: i.launched_at, reverse=True
             )[: current - desired]
-            for victim in victims:
-                victim.terminated_at = now
-            if self._region is not None:
-                self._region.note_capacity_change()
+            self._terminate(victims, now)
         return desired

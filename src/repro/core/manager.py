@@ -274,7 +274,7 @@ class _FlowPipeline:
     def hoist_capacities(self, first_tick: int, dt: int) -> _SpanCapacities:
         """Look up every capacity a span starting at ``first_tick`` reads.
 
-        Both span paths start here. The lookups run in the per-tick
+        The span kernel starts here. The lookups run in the per-tick
         loop's call order, so a pending change ripe at the first tick
         applies — and publishes its bus event — exactly where
         :meth:`on_tick` would apply it. Repeating the hoist within a
@@ -342,129 +342,129 @@ class _FlowPipeline:
         meters["storage_reads"].accrue(caps.read_units, span_seconds)
 
     def run_span(self, clock: SimClock, span_end: int, columns) -> tuple:
-        """Execute the ticks ``(clock.now, span_end]`` as one batch.
+        """Execute the ticks ``(clock.now, span_end]`` one layer at a time.
 
-        The executor's scalar fallback, bit-identical to calling
-        :meth:`on_tick` once per tick: the capacity coefficients are
-        constant across the span (that is what :meth:`span_horizon`
-        guarantees), so every capacity lookup, dict build and method
-        dispatch is hoisted out of the loop, RNG draws are batched per
-        stream in bitstream order, and the backlog/throttle recurrence
-        runs over plain locals. Returns the leading arguments of
-        :meth:`commit_span`, ``(caps, times, kinesis, storm, storage,
-        span_accepted)``; the executor commits each sub-span once.
+        The span kernel, bit-identical to calling :meth:`on_tick` once per
+        tick. The flow is a one-way chain — within a tick no layer reads
+        state from a layer downstream of it — so each layer runs over the
+        whole sub-span before the next one starts: Kinesis put → Storm
+        ingress → Storm compute → DynamoDB writes → dashboard reads.
+        Each layer takes its closed form while its own state is empty and
+        its input clears its caps, and otherwise runs a scalar scan over
+        its own state only, with ``on_tick``'s arithmetic verbatim. The
+        capacities are hoisted once (constant across the sub-span, which
+        is what :meth:`span_horizon` guarantees); the cluster stream is
+        the only RNG drawn here, by Storm compute alone. Returns the
+        leading arguments of :meth:`commit_span`, ``(caps, times,
+        kinesis, storm, storage, span_accepted)``; the executor commits
+        each sub-span once.
 
-        ``columns`` are the ``(records, payload, distinct, reads)``
-        columns the executor drew for these ticks: the first three
-        exactly what ``generate_span`` returns, the last the dashboard
-        read units per tick (``None`` without a read workload). Neither
-        draw touches service state, so both can lead the span as they
-        lead each tick of the per-tick loop.
+        ``columns`` are the ``(records, payload, distinct, reads)`` lists
+        the executor drew for these ticks: the first three exactly what
+        ``generate_span`` returns, the last the dashboard read units per
+        tick (``None`` without a read workload). Neither draw touches
+        service state, so both can lead the span as they lead each tick
+        of the per-tick loop.
         """
         dt = clock.tick_seconds
         now = clock.now
-        count = (span_end - now) // dt
-        stream = self.stream
-        cluster = self.cluster
-        table = self.table
-        records_col, payload_col, distinct_col, reads_col = columns
+        records, payload, distinct, reads = columns
         caps = self.hoist_capacities(now + dt, dt)
+        accepted, accepted_bytes, throttled = self._kinesis_put(records, payload, caps)
+        handed, buffered, lag, processed, pending = self._storm_ingress(
+            accepted, accepted_bytes, caps, dt
+        )
+        cpu, flushes = self._storm_compute(processed, pending, distinct, caps, dt)
+        count = len(records)
+        consumed, write_throttled, burst = self._dynamodb_writes(flushes, count, caps)
+        read_consumed, read_throttled = self._dashboard_reads(reads, count, caps)
+        writes = [0] * count
+        for i, units in flushes.items():
+            writes[i] = units
+
+        span_accepted = sum(accepted)
+        stream = self.stream
+        stream.total_accepted_records += span_accepted
+        stream.total_read_records += sum(handed)
+        self.cluster.total_processed += sum(processed)
+        self.cluster.total_writes_emitted += sum(flushes.values())
+        self.table.total_write_accepted += sum(consumed)
+
+        # Float64 columns for the store: closed forms hand the same list
+        # on (records are accepted, handed and processed alike), so each
+        # list converts once, and all-zero columns share one array.
+        zeros = np.zeros(count)
+        arrays: dict[int, np.ndarray] = {}
+
+        def f64(column: list) -> np.ndarray:
+            array = arrays.get(id(column))
+            if array is None:
+                array = np.asarray(column, dtype=np.float64) if any(column) else zeros
+                arrays[id(column)] = array
+            return array
+
+        def utilization(column: list, cap: int) -> np.ndarray:
+            array = f64(column)
+            return (100.0 * array) / cap if cap and array is not zeros else zeros
+
+        times = np.arange(now + dt, span_end + dt, dt, dtype=np.int64)
+        return (
+            caps, times,
+            (f64(accepted), f64(accepted_bytes), f64(throttled), f64(handed),
+             utilization(accepted, caps.record_cap), f64(buffered), f64(lag)),
+            (cpu, f64(processed), f64(pending), f64(writes)),
+            (f64(consumed), f64(write_throttled), utilization(consumed, caps.write_cap),
+             f64(burst), f64(read_consumed), f64(read_throttled),
+             utilization(read_consumed, caps.read_cap)),
+            span_accepted,
+        )
+
+    # ------------------------------------------------------------------
+    # The kernel's layers. Each takes its closed form over the sub-span's
+    # leading ticks while its own state is empty and its input clears its
+    # caps, and hands the rest to its scan: ``on_tick``'s arithmetic for
+    # that layer, verbatim, over that layer's state only.
+    # ------------------------------------------------------------------
+    def _kinesis_put(self, records: list, payload: list, caps: _SpanCapacities) -> tuple:
+        """Layer 1: producer retries and the Kinesis put (``on_tick`` step 1).
+
+        Closed form while the producer backlog is empty and a tick's
+        draws clear both write caps: the put accepts everything (a tick
+        without records offers no bytes). Returns the accepted,
+        accepted-bytes and throttled columns.
+        """
+        count = len(records)
+        start = 0
+        if not (self._producer_backlog_records or self._producer_backlog_bytes):
+            start = min(_first_over(records, caps.record_cap), _first_over(payload, caps.byte_cap))
+        quiet = records if start == count else records[:start]
+        quiet_bytes = payload if start == count else payload[:start]
+        if 0 in quiet:
+            quiet_bytes = [b if r else 0 for r, b in zip(quiet, quiet_bytes)]
+        columns = (quiet, quiet_bytes, [0] * start)
+        if start < count:
+            columns = _concat(columns, self._kinesis_scan(records[start:], payload[start:], caps))
+        return columns
+
+    def _kinesis_scan(self, records: list, payload: list, caps: _SpanCapacities) -> tuple:
         record_cap = caps.record_cap
         byte_cap = caps.byte_cap
-        stream_read_cap = caps.stream_read_cap
-        vms = caps.vms
-        analytics_cap = caps.analytics_cap
-        poll_limit = caps.poll_limit
-        write_cap = caps.write_cap
-        read_cap = caps.read_cap
-        write_bucket_cap = caps.write_bucket_cap
-        read_bucket_cap = caps.read_bucket_cap
-
-        # CPU-noise normals are drawn in flush-bounded segments: the
-        # scalar loop's draw order on the cluster's stream is one normal
-        # per tick with a flush Poisson interleaved at each window
-        # boundary, so each refill batches exactly the normals up to
-        # (and including) the next flush tick. Batched normals are
-        # bit-identical to the same number of scalar draws.
-        noise_std = cluster.config.cpu_noise_std
-        storm_normal = cluster._rng.normal
-        noise_buf: list[float] = []
-        noise_idx = 0
-
-        has_reads = reads_col is not None
-
-        # Service state into locals for the recurrence.
+        two_record_cap = 2 * record_cap
         max_backlog = self.MAX_BACKLOG
         backlog_records = self._producer_backlog_records
         backlog_bytes = self._producer_backlog_bytes
         dropped_records = self.dropped_records
-        buffer_records = stream._buffer_records
-        buffer_bytes = stream._buffer_bytes
-        smoothed_rate = stream._smoothed_rate
-        pending = cluster._pending_records
-        window_keys = cluster._window_keys
-        window_records = cluster._window_records
-        window_elapsed = cluster._window_elapsed
-        window_seconds = cluster.config.window_seconds
-        distinct_estimator = cluster._distinct_estimator
-        storm_poisson = cluster._rng.poisson
-        idle = cluster.config.cpu_idle_percent
-        burst = table._burst_bucket
-        read_burst = table._read_burst_bucket
-        write_backlog = self._write_backlog
-        dropped_writes = self.dropped_writes
-        alpha = min(1.0, dt / 60.0)
-        two_record_cap = 2 * record_cap
-        two_write_cap = 2 * write_cap
-
-        k_accepted: list[int] = []
-        k_accepted_bytes: list[int] = []
-        k_throttled: list[int] = []
-        k_read: list[int] = []
-        k_backlog: list[int] = []
-        k_lag: list[float] = []
-        s_cpu: list[float] = []
-        s_processed: list[int] = []
-        s_pending: list[int] = []
-        s_writes: list[int] = []
-        d_consumed: list[int] = []
-        d_throttled: list[int] = []
-        d_burst: list[float] = []
-        d_read_consumed: list[int] = []
-        d_read_throttled: list[int] = []
-        # Bound-method locals: ~15 column appends per tick make the
-        # attribute lookups measurable in this loop.
-        k_accepted_append = k_accepted.append
-        k_accepted_bytes_append = k_accepted_bytes.append
-        k_throttled_append = k_throttled.append
-        k_read_append = k_read.append
-        k_backlog_append = k_backlog.append
-        k_lag_append = k_lag.append
-        s_cpu_append = s_cpu.append
-        s_processed_append = s_processed.append
-        s_pending_append = s_pending.append
-        s_writes_append = s_writes.append
-        d_consumed_append = d_consumed.append
-        d_throttled_append = d_throttled.append
-        d_burst_append = d_burst.append
-        d_read_consumed_append = d_read_consumed.append
-        d_read_throttled_append = d_read_throttled.append
-
-        cpu = cluster._tick_cpu
-        processed = cluster._tick_processed
-        writes = cluster._tick_writes_emitted
-        for i in range(count):
-            records = records_col[i]
-            payload = payload_col[i]
-
-            # 1. Producer retries + Kinesis put (see on_tick step 1).
+        accepted_col: list[int] = []
+        bytes_col: list[int] = []
+        throttled_col: list[int] = []
+        for tick_records, tick_bytes in zip(records, payload):
             retry_records = min(backlog_records, two_record_cap)
             if backlog_records:
                 retry_bytes = int(backlog_bytes * retry_records / backlog_records)
             else:
                 retry_bytes = 0
-            offered = records + retry_records
-            offered_bytes = payload + retry_bytes
+            offered = tick_records + retry_records
+            offered_bytes = tick_bytes + retry_bytes
             if offered == 0:
                 accepted = 0
                 accepted_bytes = 0
@@ -476,8 +476,6 @@ class _FlowPipeline:
                 fraction = min(record_fraction, byte_fraction)
                 accepted = int(offered * fraction)
                 accepted_bytes = int(offered_bytes * fraction)
-                buffer_records += accepted
-                buffer_bytes += accepted_bytes
                 throttled = offered - accepted
                 throttled_bytes = offered_bytes - accepted_bytes
             backlog_records = backlog_records - retry_records + throttled
@@ -486,8 +484,75 @@ class _FlowPipeline:
                 dropped_records += backlog_records - max_backlog
                 backlog_bytes = int(backlog_bytes * max_backlog / backlog_records)
                 backlog_records = max_backlog
+            accepted_col.append(accepted)
+            bytes_col.append(accepted_bytes)
+            throttled_col.append(throttled)
+        self._producer_backlog_records = backlog_records
+        self._producer_backlog_bytes = backlog_bytes
+        self.dropped_records = dropped_records
+        return accepted_col, bytes_col, throttled_col
 
-            # 2. Storm pulls and processes (pull_and_process, inlined).
+    def _storm_ingress(
+        self, accepted: list, accepted_bytes: list, caps: _SpanCapacities, dt: int
+    ) -> tuple:
+        """Layer 2: the stream buffer and Storm's pull (``pull_and_process``).
+
+        Closed form while nothing is buffered or pending and a tick's
+        accepted records fit the poll limit, the stream read cap and the
+        cluster capacity: all of them are handed and processed in the
+        same tick. Buffered *bytes* never feed back into a record count,
+        so bytes a throttled put accepted without records may linger in
+        the closed form; the byte split is exact while the per-tick byte
+        cap is below 2**53. The smoothed arrival rate is a float
+        recurrence and runs per tick in both forms. Returns the handed,
+        buffered, lag, processed and pending columns.
+        """
+        stream = self.stream
+        count = len(accepted)
+        start = 0
+        if not (stream._buffer_records or self.cluster._pending_records):
+            start = _first_over(
+                accepted, min(caps.poll_limit, caps.stream_read_cap, caps.analytics_cap)
+            )
+        quiet = accepted if start == count else accepted[:start]
+        alpha = min(1.0, dt / 60.0)
+        smoothed_rate = stream._smoothed_rate
+        buffer_bytes = stream._buffer_bytes
+        for records, nbytes in zip(quiet, accepted_bytes):
+            smoothed_rate += alpha * (records / dt - smoothed_rate)
+            buffer_bytes = buffer_bytes + nbytes if not records else 0
+        stream._smoothed_rate = smoothed_rate
+        stream._buffer_bytes = buffer_bytes
+        zeros = [0] * start
+        columns = (quiet, zeros, [0.0] * start, quiet, zeros)
+        if start < count:
+            columns = _concat(
+                columns,
+                self._storm_ingress_scan(accepted[start:], accepted_bytes[start:], caps, dt),
+            )
+        return columns
+
+    def _storm_ingress_scan(
+        self, accepted: list, accepted_bytes: list, caps: _SpanCapacities, dt: int
+    ) -> tuple:
+        stream = self.stream
+        cluster = self.cluster
+        poll_limit = caps.poll_limit
+        stream_read_cap = caps.stream_read_cap
+        analytics_cap = caps.analytics_cap
+        alpha = min(1.0, dt / 60.0)
+        buffer_records = stream._buffer_records
+        buffer_bytes = stream._buffer_bytes
+        smoothed_rate = stream._smoothed_rate
+        pending = cluster._pending_records
+        handed_col: list[int] = []
+        buffered_col: list[int] = []
+        lag_col: list[float] = []
+        processed_col: list[int] = []
+        pending_col: list[int] = []
+        for tick_accepted, tick_bytes in zip(accepted, accepted_bytes):
+            buffer_records += tick_accepted
+            buffer_bytes += tick_bytes
             wanted = poll_limit - pending
             if wanted < 0:
                 wanted = 0
@@ -498,50 +563,162 @@ class _FlowPipeline:
             pending += handed
             processed = min(pending, analytics_cap)
             pending -= processed
-            if vms > 0:
-                if analytics_cap > 0:
-                    cpu = idle + (100.0 - idle) * (processed / analytics_cap)
-                else:
-                    cpu = idle
-                if pending > 0:
-                    cpu = 100.0
+            tick_rate = tick_accepted / dt
+            smoothed_rate += alpha * (tick_rate - smoothed_rate)
+            handed_col.append(handed)
+            buffered_col.append(buffer_records)
+            if buffer_records == 0:
+                lag_col.append(0.0)
             else:
-                cpu = 0.0
-            if noise_std:
-                if noise_idx == len(noise_buf):
-                    # Refill up to (and including) the next flush tick;
-                    # window_elapsed has not yet counted this tick.
-                    seg = -(-(window_seconds - window_elapsed) // dt)
-                    if seg < 1:
-                        seg = 1
-                    remaining = count - i
-                    if seg > remaining:
-                        seg = remaining
-                    noise_buf = storm_normal(0.0, noise_std, size=seg).tolist()
-                    noise_idx = 0
-                noise = noise_buf[noise_idx]
-                noise_idx += 1
-            else:
-                noise = 0.0
-            cpu = float(min(100.0, max(0.0, cpu + noise)))
-            window_keys += distinct_col[i]
-            window_records += processed
-            window_elapsed += dt
-            writes = 0
-            if window_elapsed >= window_seconds:
-                if distinct_estimator is not None:
-                    expected = distinct_estimator(window_records)
-                    writes = int(storm_poisson(expected)) if expected > 0 else 0
-                else:
-                    ticks_in_window = max(1, window_elapsed // dt)
-                    writes = int(round(window_keys / ticks_in_window))
-                window_keys = 0.0
-                window_records = 0
-                window_elapsed = 0
+                lag_col.append(1000.0 * buffer_records / max(smoothed_rate, 1e-9))
+            processed_col.append(processed)
+            pending_col.append(pending)
+        stream._buffer_records = buffer_records
+        stream._buffer_bytes = buffer_bytes
+        stream._smoothed_rate = smoothed_rate
+        cluster._pending_records = pending
+        return handed_col, buffered_col, lag_col, processed_col, pending_col
 
-            # 3. DynamoDB writes + retry pacing (on_tick step 3).
+    def _storm_compute(
+        self, processed: list, pending: list, distinct: list, caps: _SpanCapacities, dt: int
+    ) -> tuple[np.ndarray, dict[int, int]]:
+        """Layer 3: CPU, its noise, and the aggregation-window walk.
+
+        Per tick this layer is stateless but for the window, so it is
+        always in closed form. Flush boundaries partition the sub-span
+        into the segments the per-tick loop draws its CPU-noise normals
+        in, each window's flush Poisson interleaved at the same bitstream
+        position — this layer alone draws on the cluster stream. Window
+        sums are integer-valued below 2**53, so summing a segment at once
+        is exact. Returns the CPU column and ``{tick index: writes}`` for
+        every flush that emitted writes, in tick order.
+        """
+        cluster = self.cluster
+        config = cluster.config
+        count = len(processed)
+        window_seconds = config.window_seconds
+        distinct_estimator = cluster._distinct_estimator
+        noise_std = config.cpu_noise_std
+        rng = cluster._rng
+        window_keys = cluster._window_keys
+        window_records = cluster._window_records
+        window_elapsed = cluster._window_elapsed
+        noise: list[np.ndarray] = []
+        flushes: dict[int, int] = {}
+        i = 0
+        while i < count:
+            seg = -(-(window_seconds - window_elapsed) // dt)
+            if seg < 1:
+                seg = 1
+            stop = i + seg if seg <= count - i else count
+            if noise_std:
+                noise.append(rng.normal(0.0, noise_std, size=stop - i))
+            window_keys += sum(distinct[i:stop])
+            window_records += sum(processed[i:stop])
+            window_elapsed += (stop - i) * dt
+            if stop - i < seg:
+                break
+            i = stop
+            if distinct_estimator is not None:
+                expected = distinct_estimator(window_records)
+                writes = int(rng.poisson(expected)) if expected > 0 else 0
+            else:
+                ticks_in_window = max(1, window_elapsed // dt)
+                writes = int(round(window_keys / ticks_in_window))
+            window_keys = 0.0
+            window_records = 0
+            window_elapsed = 0
+            if writes:
+                flushes[i - 1] = writes
+        cluster._window_keys = window_keys
+        cluster._window_records = window_records
+        cluster._window_elapsed = window_elapsed
+
+        analytics_cap = caps.analytics_cap
+        if caps.vms > 0:
+            idle = config.cpu_idle_percent
+            if analytics_cap > 0:
+                cpu = idle + (100.0 - idle) * (np.asarray(processed, dtype=np.float64) / analytics_cap)
+            else:
+                cpu = np.full(count, float(idle))
+            if max(pending) > 0:
+                cpu[np.asarray(pending) > 0] = 100.0
+        else:
+            cpu = np.zeros(count)
+        if noise_std:
+            cpu = cpu + np.concatenate(noise)
+        cpu = np.minimum(100.0, np.maximum(0.0, cpu))
+        cluster._tick_cpu = float(cpu[-1])
+        cluster._tick_processed = processed[-1]
+        cluster._tick_writes_emitted = flushes.get(count - 1, 0)
+        return cpu, flushes
+
+    def _dynamodb_writes(self, flushes: dict, count: int, caps: _SpanCapacities) -> tuple:
+        """Layer 4: the write burst bucket and the write backlog (step 3).
+
+        Writes arrive only on flush ticks. Closed form while the write
+        backlog is empty: the bucket refills up to each flush, which
+        replays ``on_tick``'s accept/burst arithmetic; a flush that
+        spills into the backlog is the last closed-form tick. Returns the
+        consumed, throttled and burst-balance columns.
+        """
+        write_cap = caps.write_cap
+        bucket_cap = caps.write_bucket_cap
+        table = self.table
+        burst = table._burst_bucket
+        consumed = [0] * count
+        throttled = [0] * count
+        burst_col: list = []
+        start = 0
+        if not self._write_backlog:
+            start = count
+            for i, writes in flushes.items():
+                if i > len(burst_col):
+                    burst_col += _refill(burst, write_cap, bucket_cap, i - len(burst_col))
+                    burst = burst_col[-1]
+                accepted = min(writes, write_cap)
+                excess = writes - accepted
+                if excess > 0 and burst > 0:
+                    from_burst = int(min(excess, burst))
+                    accepted += from_burst
+                    excess -= from_burst
+                    burst -= from_burst
+                burst = min(bucket_cap, burst + max(0, write_cap - writes))
+                burst_col.append(burst)
+                consumed[i] = accepted
+                throttled[i] = excess
+                if excess > 0:
+                    if excess > self.MAX_BACKLOG:
+                        self.dropped_writes += excess - self.MAX_BACKLOG
+                        excess = self.MAX_BACKLOG
+                    self._write_backlog = excess
+                    start = i + 1
+                    break
+            if start > len(burst_col):
+                burst_col += _refill(burst, write_cap, bucket_cap, start - len(burst_col))
+                burst = burst_col[-1]
+            table._burst_bucket = burst
+        columns = (consumed[:start], throttled[:start], burst_col)
+        if start < count:
+            writes = [flushes.get(i, 0) for i in range(start, count)]
+            columns = _concat(columns, self._dynamodb_scan(writes, caps))
+        return columns
+
+    def _dynamodb_scan(self, writes: list, caps: _SpanCapacities) -> tuple:
+        table = self.table
+        write_cap = caps.write_cap
+        write_bucket_cap = caps.write_bucket_cap
+        two_write_cap = 2 * write_cap
+        max_backlog = self.MAX_BACKLOG
+        burst = table._burst_bucket
+        write_backlog = self._write_backlog
+        dropped_writes = self.dropped_writes
+        consumed: list[int] = []
+        throttled: list[int] = []
+        burst_col: list = []
+        for tick_writes in writes:
             retry_writes = min(write_backlog, two_write_cap)
-            units = writes + retry_writes
+            units = tick_writes + retry_writes
             write_accepted = min(units, write_cap)
             excess = units - write_accepted
             if excess > 0 and burst > 0:
@@ -555,87 +732,87 @@ class _FlowPipeline:
             if write_backlog > max_backlog:
                 dropped_writes += write_backlog - max_backlog
                 write_backlog = max_backlog
-
-            # 3b. Dashboard reads (on_tick step 3b).
-            if has_reads:
-                read_units = reads_col[i]
-                read_accepted = min(read_units, read_cap)
-                read_excess = read_units - read_accepted
-                if read_excess > 0 and read_burst > 0:
-                    from_burst = int(min(read_excess, read_burst))
-                    read_accepted += from_burst
-                    read_excess -= from_burst
-                    read_burst -= from_burst
-                read_unused = max(0, read_cap - read_units)
-                read_burst = min(read_bucket_cap, read_burst + read_unused)
-            else:
-                read_accepted = 0
-                read_excess = 0
-
-            # 4. Metric columns, with the emit-time arithmetic verbatim.
-            k_accepted_append(accepted)
-            k_accepted_bytes_append(accepted_bytes)
-            k_throttled_append(throttled)
-            k_read_append(handed)
-            k_backlog_append(buffer_records)
-            tick_rate = accepted / dt
-            smoothed_rate += alpha * (tick_rate - smoothed_rate)
-            if buffer_records == 0:
-                k_lag_append(0.0)
-            else:
-                k_lag_append(1000.0 * buffer_records / max(smoothed_rate, 1e-9))
-            s_cpu_append(cpu)
-            s_processed_append(processed)
-            s_pending_append(pending)
-            s_writes_append(writes)
-            d_consumed_append(write_accepted)
-            d_throttled_append(excess)
-            d_burst_append(burst)
-            d_read_consumed_append(read_accepted)
-            d_read_throttled_append(read_excess)
-
-        # Write service state back.
-        span_accepted = sum(k_accepted)
-        self._producer_backlog_records = backlog_records
-        self._producer_backlog_bytes = backlog_bytes
-        self.dropped_records = dropped_records
+            consumed.append(write_accepted)
+            throttled.append(excess)
+            burst_col.append(burst)
+        table._burst_bucket = burst
         self._write_backlog = write_backlog
         self.dropped_writes = dropped_writes
-        stream._buffer_records = buffer_records
-        stream._buffer_bytes = buffer_bytes
-        stream._smoothed_rate = smoothed_rate
-        stream.total_accepted_records += span_accepted
-        stream.total_read_records += sum(k_read)
-        cluster._pending_records = pending
-        cluster.total_processed += sum(s_processed)
-        cluster.total_writes_emitted += sum(s_writes)
-        table.total_write_accepted += sum(d_consumed)
-        cluster._window_keys = window_keys
-        cluster._window_records = window_records
-        cluster._window_elapsed = window_elapsed
-        cluster._tick_cpu = cpu
-        cluster._tick_processed = processed
-        cluster._tick_writes_emitted = writes
-        table._burst_bucket = burst
-        table._read_burst_bucket = read_burst
+        return consumed, throttled, burst_col
 
-        # Times and utilizations elementwise, as the executor's vector
-        # prefix computes them: the same IEEE operations in the same order.
-        times = np.arange(now + dt, span_end + dt, dt, dtype=np.int64)
-        zeros = np.zeros(count)
-        k_util = (100.0 * np.asarray(k_accepted)) / record_cap if record_cap else zeros
-        d_util = (100.0 * np.asarray(d_consumed)) / write_cap if write_cap else zeros
-        d_read_util = (
-            (100.0 * np.asarray(d_read_consumed)) / read_cap if read_cap else zeros
-        )
-        return (
-            caps, times,
-            (k_accepted, k_accepted_bytes, k_throttled, k_read, k_util, k_backlog, k_lag),
-            (s_cpu, s_processed, s_pending, s_writes),
-            (d_consumed, d_throttled, d_util, d_burst,
-             d_read_consumed, d_read_throttled, d_read_util),
-            span_accepted,
-        )
+    def _dashboard_reads(self, reads: list | None, count: int, caps: _SpanCapacities) -> tuple:
+        """Layer 5: dashboard reads against the read burst bucket (step 3b).
+
+        Closed form while every tick reads within the read cap: it
+        consumes what it reads and the bucket only refills. The bucket is
+        state, not a metric, and ``min(cap, b + u)`` over non-negative
+        ``u`` telescopes to one ``min``. Returns the consumed and
+        throttled columns.
+        """
+        if reads is None:
+            zeros = [0] * count
+            return zeros, zeros
+        read_cap = caps.read_cap
+        start = _first_over(reads, read_cap)
+        quiet = reads if start == count else reads[:start]
+        if start:
+            table = self.table
+            table._read_burst_bucket = min(
+                caps.read_bucket_cap,
+                table._read_burst_bucket + (start * read_cap - sum(quiet)),
+            )
+        columns = (quiet, [0] * start)
+        if start < count:
+            columns = _concat(columns, self._dashboard_reads_scan(reads[start:], caps))
+        return columns
+
+    def _dashboard_reads_scan(self, reads: list, caps: _SpanCapacities) -> tuple:
+        table = self.table
+        read_cap = caps.read_cap
+        read_bucket_cap = caps.read_bucket_cap
+        read_burst = table._read_burst_bucket
+        consumed: list[int] = []
+        throttled: list[int] = []
+        for read_units in reads:
+            read_accepted = min(read_units, read_cap)
+            read_excess = read_units - read_accepted
+            if read_excess > 0 and read_burst > 0:
+                from_burst = int(min(read_excess, read_burst))
+                read_accepted += from_burst
+                read_excess -= from_burst
+                read_burst -= from_burst
+            read_unused = max(0, read_cap - read_units)
+            read_burst = min(read_bucket_cap, read_burst + read_unused)
+            consumed.append(read_accepted)
+            throttled.append(read_excess)
+        table._read_burst_bucket = read_burst
+        return consumed, throttled
+
+
+def _first_over(column: list, cap) -> int:
+    """Index of the first value in ``column`` above ``cap``, else its length."""
+    if max(column) <= cap:
+        return len(column)
+    return next(i for i, value in enumerate(column) if value > cap)
+
+
+def _concat(head: tuple, tail: tuple) -> tuple:
+    """A layer's closed-form columns followed by its scan's."""
+    return tuple(h + t for h, t in zip(head, tail))
+
+
+def _refill(level, step: int, cap: int, ticks: int) -> list:
+    """``ticks`` steps of the bucket recurrence ``level = min(cap, level +
+    step)``, ``step >= 0``, in closed form: ``level + j * step`` while it
+    stays below ``cap``, then ``cap``. Buckets hold integer-valued floats
+    below 2**53, so every add is exact in any grouping and the crossing
+    tick is an exact integer division."""
+    if level >= cap:
+        return [cap] * ticks
+    if step <= 0:
+        return [level] * ticks
+    rising = min(ticks, int((cap - level - 1) // step))
+    return [level + j * step for j in range(1, rising + 1)] + [cap] * (ticks - rising)
 
 
 @dataclass

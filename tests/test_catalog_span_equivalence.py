@@ -5,9 +5,9 @@ gate entries, the ``fleet`` one included — runs twice on each workload
 model — once as :meth:`Scenario.build_manager` wires it (span execution
 through the span executor) and once with the same manager's engine
 switched to the per-tick loop — over a horizon covering the scenario's
-first fault window. The chaos-heavy catalog is where a standalone flow alternates
-between the executor's closed-form columns and its scalar fallback, so
-this is the oracle check for that alternation on single flows: the
+first fault window. The chaos-heavy catalog is where a standalone flow's
+kernel layers switch between their closed forms and their scans, so
+this is the oracle check for those switches on single flows: the
 wall-clock-free scorecards and every stored CloudWatch datapoint
 (compared by ``repr``, per flow for a fleet) must be identical, and the
 invariant auditor must stay clean in both modes.

@@ -1,10 +1,11 @@
 """Unit tests for the simulated EC2 fleet."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud import EC2Config, SimEC2Fleet
 from repro.cloud.ec2 import InstanceState
-from repro.core.errors import CapacityError, ConfigurationError
+from repro.core.errors import CapacityError, ConfigurationError, SimulationError
 
 
 class TestEC2Config:
@@ -87,3 +88,73 @@ class TestSimEC2Fleet:
         fleet.set_desired(5, now=0)
         ids = [i.instance_id for i in fleet.instances(0)]
         assert len(set(ids)) == 5
+
+
+def _brute_force(instances, now):
+    """The counts as a scan over every instance ever launched."""
+    states = [i.state(now) for i in instances]
+    future = [
+        t for i in instances for t in (i.ready_at, i.terminated_at)
+        if t is not None and t > now and i.state(now) != InstanceState.TERMINATED
+    ]
+    return {
+        "running": states.count(InstanceState.RUNNING),
+        "pending": states.count(InstanceState.PENDING),
+        "provisioned": len(states) - states.count(InstanceState.TERMINATED),
+        "billable": sum(i.billable(now) for i in instances),
+        "next_event": min(future, default=None),
+    }
+
+
+#: One step: (time advance, action, argument).
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 120),
+        st.sampled_from(["scale", "fail", "query"]),
+        st.integers(0, 9),
+    ),
+    max_size=40,
+)
+
+
+class TestLiveInstanceCounts:
+    """The fleet keeps only live instances; its counts must equal a scan
+    over every instance it ever launched."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(boot=st.sampled_from([0, 30, 90]), initial=st.integers(1, 4), steps=_STEPS)
+    def test_counts_match_a_scan_over_all_instances(self, boot, initial, steps):
+        fleet = SimEC2Fleet(
+            config=EC2Config(boot_seconds=boot, max_instances=8), initial_instances=initial
+        )
+        launched = list(fleet.instances(0))
+        now = 0
+        for advance, action, arg in steps:
+            now += advance
+            if action == "scale":
+                fleet.set_desired(arg, now)
+                known = {i.instance_id for i in launched}
+                launched += [i for i in fleet.instances(now) if i.instance_id not in known]
+            elif action == "fail":
+                live = fleet.instances(now)
+                victim = live[arg % len(live)].instance_id if live else "i-unknown"
+                assert fleet.fail_instance(victim, now) == bool(live)
+                assert not fleet.fail_instance(victim, now)
+            expected = _brute_force(launched, now)
+            assert fleet.running_count(now) == expected["running"]
+            assert len(fleet.instances(now, InstanceState.PENDING)) == expected["pending"]
+            assert fleet.provisioned_count(now) == expected["provisioned"]
+            assert fleet.billable_count(now) == expected["billable"]
+            assert fleet.next_capacity_event(now) == expected["next_event"]
+
+    def test_query_before_the_latest_termination_is_refused(self):
+        fleet = SimEC2Fleet(initial_instances=3)
+        fleet.set_desired(2, now=100)
+        assert fleet.provisioned_count(100) == 2
+        with pytest.raises(SimulationError):
+            fleet.running_count(99)
+        victim = fleet.instances(150)[0].instance_id
+        assert fleet.fail_instance(victim, now=150)
+        with pytest.raises(SimulationError):
+            fleet.billable_count(120)
+        assert fleet.billable_count(150) == 1

@@ -24,6 +24,7 @@ import pytest
 from repro.chaos import ChaosSchedule, FaultKind, FaultSpec
 from repro.cloud import SimCloudWatch
 from repro.cloud.dynamodb import DynamoDBConfig
+from repro.cloud.kinesis import KinesisConfig
 from repro.cloud.storm import BoltSpec, TopologyConfig
 from repro.core import fleet_exec
 from repro.core.builder import FlowBuilder
@@ -32,6 +33,7 @@ from repro.core.flow import LayerKind
 from repro.core.manager import _FlowPipeline
 from repro.observability import FlightRecorder
 from repro.observability.export import write_jsonl
+from repro.workload.clickstream import ClickStreamConfig
 from repro.workload.generators import ConstantRate, FlashCrowdRate, SinusoidalRate, StepRate
 
 
@@ -88,17 +90,39 @@ def assert_equivalent(reference, spanned, events: bool = False):
         assert _decisions(spanned) == _decisions(reference)
 
 
-def _count_scalar_calls(monkeypatch):
-    """Record ``(clock.now, span_end)`` of every scalar-reference entry."""
-    calls = []
-    original = _FlowPipeline.run_span
+#: The span kernel's layers that can leave their closed form, each with
+#: its scan method on ``_FlowPipeline`` (Storm compute never scans).
+SCAN_LAYERS = ("kinesis", "storm_ingress", "dynamodb", "dashboard_reads")
 
-    def counting(self, clock, span_end, columns):
-        calls.append((clock.now, span_end))
-        return original(self, clock, span_end, columns)
 
-    monkeypatch.setattr(_FlowPipeline, "run_span", counting)
-    return calls
+def _log_scans(monkeypatch):
+    """Record ``(layer, first scanned tick)`` for every layer scan the span
+    kernel starts, in call order; ``("kernel", first tick)`` marks each
+    kernel call."""
+    log = []
+    window = {}
+    original_run = _FlowPipeline.run_span
+
+    def run_span(self, clock, span_end, columns):
+        window["end"], window["dt"] = span_end, clock.tick_seconds
+        log.append(("kernel", clock.now + clock.tick_seconds))
+        return original_run(self, clock, span_end, columns)
+
+    monkeypatch.setattr(_FlowPipeline, "run_span", run_span)
+    for layer in SCAN_LAYERS:
+        name = f"_{layer}_scan"
+
+        def scan(self, column, *args, _original=getattr(_FlowPipeline, name), _layer=layer):
+            log.append((_layer, window["end"] - (len(column) - 1) * window["dt"]))
+            return _original(self, column, *args)
+
+        monkeypatch.setattr(_FlowPipeline, name, scan)
+    return log
+
+
+def _scans(log):
+    """The layer scans of a :func:`_log_scans` log, kernel marks dropped."""
+    return [entry for entry in log if entry[0] != "kernel"]
 
 
 def _series(result, namespace, metric):
@@ -446,51 +470,73 @@ class TestFleetEquivalence:
             assert_equivalent(reference.flows[flow_id], spanned.flows[flow_id])
 
 
-class TestExecutorScalarFallback:
-    """The executor's float64-exactness guard on ``payload * records``.
+class TestQuietFlowClosedForm:
+    """A well-provisioned flow never leaves the closed form.
 
-    Above ``_EXACT_PRODUCT_LIMIT`` the closed-form buffer byte split
-    would round, so the executor must hand those ticks to the scalar
-    reference. Real runs never get near 2**53; lowering the limit into
-    the workload's range makes a quiet, well-provisioned flow (which
-    otherwise never leaves the vector path) cross it mid-span.
+    Its per-tick ``payload * records`` product ranges around 2**53 here:
+    the closed forms never multiply bytes by records, and the scans split
+    bytes with Python integers, exact at any size — so the span run stays
+    bit-identical to the oracle whether the put is quiet or throttled.
     """
 
     @staticmethod
     def _build():
         return (
-            FlowBuilder("span-eq-limit", seed=3)
+            FlowBuilder("span-eq-quiet", seed=3)
             .ingestion(shards=4)
             .analytics(vms=4)
             .storage(write_units=1000)
             .workload(SinusoidalRate(mean=1200, amplitude=600, period=600))
         )
 
-    def test_quiet_flow_stays_on_the_vector_path(self, monkeypatch):
-        calls = _count_scalar_calls(monkeypatch)
+    def test_quiet_flow_never_scans(self, monkeypatch):
+        log = _log_scans(monkeypatch)
         self._build().build().run(900)
-        assert calls == []
+        assert log, "the kernel never ran"
+        assert _scans(log) == []
 
-    def test_product_limit_falls_back_to_scalar(self, monkeypatch):
-        # Per-tick payload x records spans ~1e8..1.3e9 for this workload.
-        monkeypatch.setattr(fleet_exec, "_EXACT_PRODUCT_LIMIT", 700_000_000)
-        calls = _count_scalar_calls(monkeypatch)
-        reference, spanned = run_pair(self._build, 900)
-        assert calls, "the lowered limit never sent a tick to the scalar path"
-        # Crossings land inside spans, not only on their first tick.
-        assert any(now % 60 for now, _ in calls)
+    @pytest.mark.parametrize("put", ["quiet", "throttled"])
+    def test_payload_times_records_near_2_53(self, monkeypatch, put):
+        # Two-gigabyte records at 1,500..2,700 records/s: each tick's
+        # payload is 3e12..5.4e12 bytes and its payload x records product
+        # spans about 4.5e15..1.5e16, across 2**53 ~ 9.0e15. The throttled
+        # put caps bytes at 4.6e12 per tick, so the backlog's byte split
+        # multiplies far beyond 2**53.
+        byte_rate = 2**50 if put == "quiet" else 1_150_000_000_000
+
+        def build():
+            return (
+                FlowBuilder("span-eq-product", seed=3)
+                .ingestion(shards=4, config=KinesisConfig(bytes_per_shard_per_second=byte_rate))
+                .analytics(vms=4)
+                .storage(write_units=1000)
+                .workload(
+                    SinusoidalRate(mean=2100, amplitude=600, period=600),
+                    ClickStreamConfig(mean_record_bytes=2_000_000_000),
+                )
+            )
+
+        log = _log_scans(monkeypatch)
+        reference, spanned = run_pair(build, 600)
         assert_equivalent(reference, spanned)
+        records = _series(reference, "AWS/Kinesis", "IncomingRecords")[1]
+        payload = _series(reference, "AWS/Kinesis", "IncomingBytes")[1]
+        products = [r * b for r, b in zip(records, payload)]
+        assert min(products) < 2**53 < max(products)
+        layers = {layer for layer, _ in _scans(log)}
+        assert layers == (set() if put == "quiet" else {"kinesis"})
 
 
 class TestQuietPrefixCutPoints:
-    """Where the executor's closed-form prefix ends and the scalar
-    reference takes over.
+    """Where a layer's closed-form prefix of a sub-span ends.
 
-    The prefix covers quiet ticks only. A flush whose writes spill into
-    a write backlog is its last tick; a tick whose dashboard reads
-    exceed the read cap is its first excluded tick. Each case is
-    static (no control boundaries), so the cut lands inside a sub-span
-    and only the executor's own checks can put it there.
+    Each layer of the span kernel takes its closed form over the leading
+    ticks of a sub-span and scans from the first tick that form cannot
+    take — only that layer: a flush whose writes spill into a write
+    backlog is DynamoDB's last closed-form tick; a tick whose dashboard
+    reads exceed the read cap is the reads layer's first scanned tick.
+    Each case is static (no control boundaries), so the cut lands inside
+    a sub-span and only the kernel's own checks can put it there.
     """
 
     @staticmethod
@@ -512,7 +558,7 @@ class TestQuietPrefixCutPoints:
                 workload=StepRate(base=200, level=1500, at=300),
             )
 
-        calls = _count_scalar_calls(monkeypatch)
+        log = _log_scans(monkeypatch)
         reference, spanned = run_pair(build, 900)
         assert_equivalent(reference, spanned)
         # Kinesis and Storm stay quiet throughout; only storage spills.
@@ -520,8 +566,10 @@ class TestQuietPrefixCutPoints:
         assert not any(_series(reference, "Custom/Storm", "PendingTuples")[1])
         spill = _first_tick(reference, "AWS/DynamoDB", "WriteThrottleEvents")
         assert spill % 60, "the spill must land inside a sub-span"
-        # The scalar reference starts on the tick after the flush.
-        assert calls[0][0] == spill
+        scans = _scans(log)
+        assert {layer for layer, _ in scans} == {"dynamodb"}
+        # DynamoDB's scan starts on the tick after the flush.
+        assert scans[0] == ("dynamodb", spill + 1)
 
     def test_reads_over_the_read_cap_end_the_prefix(self, monkeypatch):
         def build():
@@ -529,13 +577,15 @@ class TestQuietPrefixCutPoints:
                 StepRate(base=20, level=400, at=330), read_units=100
             )
 
-        calls = _count_scalar_calls(monkeypatch)
+        log = _log_scans(monkeypatch)
         reference, spanned = run_pair(build, 900)
         assert_equivalent(reference, spanned)
         over = _first_tick(reference, "AWS/DynamoDB", "ConsumedReadCapacityUnits", above=100)
         assert over % 60, "the surge must start inside a sub-span"
-        # The first over-cap tick is the scalar reference's first tick.
-        assert calls[0][0] == over - 1
+        scans = _scans(log)
+        assert {layer for layer, _ in scans} == {"dashboard_reads"}
+        # The first over-cap tick is the reads layer's first scanned tick.
+        assert scans[0] == ("dashboard_reads", over)
         # The surge outlasts the read burst bucket, so reads throttle.
         assert any(_series(reference, "AWS/DynamoDB", "ReadThrottleEvents")[1])
 
@@ -545,17 +595,17 @@ class TestQuietPrefixCutPoints:
                 SinusoidalRate(mean=30, amplitude=10, period=300), read_units=100
             )
 
-        calls = _count_scalar_calls(monkeypatch)
+        log = _log_scans(monkeypatch)
         reference, spanned = run_pair(build, 900)
         assert_equivalent(reference, spanned)
         assert sum(_series(reference, "AWS/DynamoDB", "ConsumedReadCapacityUnits")[1]) > 0
-        assert calls == []
+        assert _scans(log) == []
 
 
 class TestOneCommitPerSubSpan:
-    """The executor commits each flow's sub-span once — one
-    ``commit_span``, one store call per service — however often its
-    path alternates between vector prefixes and scalar chunks."""
+    """The executor runs each flow's sub-span through one kernel call and
+    commits it once — one ``commit_span``, one store call per service —
+    however many of its layers switch from closed form to scan inside it."""
 
     @staticmethod
     def _burst_flow():
@@ -576,33 +626,16 @@ class TestOneCommitPerSubSpan:
 
     @staticmethod
     def _log_paths(monkeypatch):
-        """Log ``("sub", now)``, ``"V"`` (a vector prefix that ran),
-        ``"S"`` (a scalar chunk) and ``"C"`` (a commit) in call order."""
-        log = []
+        """Per sub-span start, the kernel's layer scans and ``"commit"``,
+        in call order (the :func:`_log_scans` log, with commits)."""
+        log = _log_scans(monkeypatch)
+        original_commit = _FlowPipeline.commit_span
 
-        def wrap(owner, name, record):
-            original = getattr(owner, name)
+        def commit_span(self, *args):
+            log.append(("commit", None))
+            return original_commit(self, *args)
 
-            def logged(self, *args):
-                result = original(self, *args)
-                entry = record(args, result)
-                if entry is not None:
-                    log.append(entry)
-                return result
-
-            monkeypatch.setattr(owner, name, logged)
-
-        original_sub = fleet_exec.FleetSpanExecutor._run_sub_span
-
-        def sub(self, p, clock, span_end):
-            log.append(("sub", clock.now))
-            return original_sub(self, p, clock, span_end)
-
-        monkeypatch.setattr(fleet_exec.FleetSpanExecutor, "_run_sub_span", sub)
-        wrap(fleet_exec.FleetSpanExecutor, "_vector_prefix",
-             lambda args, part: None if part is None else "V")
-        wrap(_FlowPipeline, "run_span", lambda args, part: "S")
-        wrap(_FlowPipeline, "commit_span", lambda args, result: "C")
+        monkeypatch.setattr(_FlowPipeline, "commit_span", commit_span)
         return log
 
     def test_alternating_sub_span_commits_once(self, monkeypatch, tmp_path):
@@ -610,15 +643,22 @@ class TestOneCommitPerSubSpan:
         reference, spanned = run_pair(self._burst_flow, 600, events=True)
         assert_equivalent(reference, spanned, events=True)
         paths = {}
-        for entry in log:
-            if isinstance(entry, tuple):
-                now = entry[1]
-                paths[now] = ""
-            else:
-                paths[now] += entry
-        assert all(path.count("C") == 1 and path.endswith("C") for path in paths.values())
-        burst = paths[120]
-        assert "VS" in burst and burst.rindex("V") > burst.index("S"), burst
+        for layer, tick in log:
+            if layer == "kernel":
+                first = tick
+                paths[first] = []
+            paths[first].append((layer, tick))
+        assert all(
+            path[-1][0] == "commit" and [e[0] for e in path].count("commit") == 1
+            for path in paths.values()
+        )
+        # Kinesis scans from the first over-cap tick, and the reads layer
+        # from the first tick over the read cap, both inside one sub-span.
+        over_reads = _first_tick(reference, "AWS/DynamoDB", "ConsumedReadCapacityUnits",
+                                 above=100)
+        assert paths[121] == [
+            ("kernel", 121), ("kinesis", 127), ("dashboard_reads", over_reads), ("commit", None)
+        ]
 
         # The throttle episodes replayed over the sub-span's concatenated
         # columns equal the per-tick run's, byte for byte once exported
@@ -641,7 +681,7 @@ class TestOneCommitPerSubSpan:
         """Guard: store writes = 3 x commits, commits = sub-spans, and no
         write bypasses the grouped batch call."""
         counts = dict.fromkeys(
-            ("sub", "commit", "batch", "scalar_put", "scalar_chunk"), 0
+            ("sub", "kernel", "hoist", "commit", "batch", "scalar_put", "scan"), 0
         )
 
         def count(owner, name, tag):
@@ -654,8 +694,11 @@ class TestOneCommitPerSubSpan:
             monkeypatch.setattr(owner, name, counted)
 
         count(fleet_exec.FleetSpanExecutor, "_run_sub_span", "sub")
+        count(_FlowPipeline, "run_span", "kernel")
+        count(_FlowPipeline, "hoist_capacities", "hoist")
         count(_FlowPipeline, "commit_span", "commit")
-        count(_FlowPipeline, "run_span", "scalar_chunk")
+        for layer in SCAN_LAYERS:
+            count(_FlowPipeline, f"_{layer}_scan", "scan")
         count(SimCloudWatch, "put_metric_data_batch", "batch")
         count(SimCloudWatch, "put_metric_data", "scalar_put")
         flows = [
@@ -670,8 +713,8 @@ class TestOneCommitPerSubSpan:
         fleet = RegionFleetManager(flows, seed=5)
         fleet.run(1200)
         assert fleet.engine.last_run_used_spans
-        assert counts["scalar_chunk"] > 0, "no sub-span left the vector path"
+        assert counts["scan"] > 0, "no layer left its closed form"
         assert counts["sub"] >= 2 * 1200 // 60
-        assert counts["commit"] == counts["sub"]
+        assert counts["kernel"] == counts["hoist"] == counts["commit"] == counts["sub"]
         assert counts["batch"] == 3 * counts["commit"]
         assert counts["scalar_put"] == 0
